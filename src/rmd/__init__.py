@@ -31,7 +31,6 @@ from .eigen import (
     AugmentedMatrix,
     DifferenceOperator,
     EigenBasis,
-    EigenPair,
     EigenSolverError,
     GramMatrix,
     augmented,
@@ -78,7 +77,6 @@ __all__ = [
     "DecompositionConfig",
     "DifferenceOperator",
     "EigenBasis",
-    "EigenPair",
     "EigenSolverError",
     "ExperimentReport",
     "ExperimentSpec",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -125,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_sample_rate(flag_value: float | None, input_path: str) -> float:
     if flag_value is not None:
-        if flag_value <= 0:
-            raise _CliError(EXIT_USAGE, "--sample-rate must be positive")
+        if not (math.isfinite(flag_value) and flag_value > 0):
+            raise _CliError(EXIT_USAGE, "--sample-rate must be finite and positive")
         return flag_value
     rate = read_sample_rate_sidecar(input_path)
     if rate is None:

@@ -3,7 +3,8 @@
 The decomposition rests on the symmetric-definite generalized eigenproblem
 ``G v = gamma (I + alpha R) v`` where G is the trajectory Gram matrix and
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
-Solved by Cholesky reduction to a standard symmetric problem.
+M = I + alpha R is positive definite, so one LAPACK call (sygvd through
+``scipy.linalg.eigh(G, M)``) returns the whole eigenbasis, held as arrays.
 """
 
 from __future__ import annotations
@@ -86,48 +87,40 @@ class AugmentedMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenPair:
-    """One generalized eigenpair plus its derived quantities.
+class EigenBasis:
+    """All K generalized eigenpairs as arrays, sorted by descending eigenvalue.
 
-    gamma        generalized eigenvalue
-    vector       eigenvector, rescaled to unit Euclidean norm
-    mu           roughness quadratic v^T R v (clamped at 0)
-    energy       v^T G v; equals gamma * (1 + alpha * mu)
-    shrink_weight 1 / (1 + alpha * mu), the optional reconstruction gain
-    negligible   True when gamma falls below the numerical floor
+    gammas      generalized eigenvalues, shape (K,)
+    vectors     eigenvectors as columns, each of unit Euclidean norm, (K, K)
+    mu          roughness quadratics v^T R v (clamped at 0), shape (K,)
+    energy      v^T G v; equals gamma * (1 + alpha * mu), shape (K,)
+    negligible  True where gamma falls below the numerical floor, shape (K,)
+    alpha       the regularization weight of M
+
+    The optional reconstruction gain of column i is 1 / (1 + alpha * mu[i]).
     """
 
-    gamma: float
-    vector: np.ndarray
-    mu: float
-    energy: float
-    shrink_weight: float
-    negligible: bool
-
-    def __post_init__(self):
-        v = np.array(self.vector, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenBasis:
-    """All K generalized eigenpairs, sorted by descending eigenvalue."""
-
-    pairs: tuple[EigenPair, ...]
+    gammas: np.ndarray
+    vectors: np.ndarray
+    mu: np.ndarray
+    energy: np.ndarray
+    negligible: np.ndarray
     alpha: float
 
+    def __post_init__(self):
+        for name in ("gammas", "vectors", "mu", "energy", "negligible"):
+            dtype = bool if name == "negligible" else np.float64
+            a = np.asarray(getattr(self, name), dtype=dtype).view()  # read-only view, no copy
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        K = self.gammas.size
+        if self.vectors.shape != (K, K) or not (
+            self.mu.shape == self.energy.shape == self.negligible.shape == (K,)
+        ):
+            raise ValueError("eigenbasis arrays must hold K values and K x K vectors")
+
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([p.gamma for p in self.pairs])
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors as columns, in sorted order."""
-        return np.column_stack([p.vector for p in self.pairs])
+        return self.gammas.size
 
 
 def gram(X: TrajectoryMatrix) -> GramMatrix:
@@ -157,8 +150,19 @@ def diff_operator(order: int, K: int) -> DifferenceOperator:
 
 
 def smoothing_matrix(D: DifferenceOperator) -> np.ndarray:
-    """R = D^T D, the positive semi-definite roughness quadratic form."""
-    return D.matrix.T @ D.matrix
+    """R = D^T D, the positive semi-definite roughness quadratic form.
+
+    Row i of D holds the stencil s at columns i .. i + order, so it adds
+    s[a] * s[b] at (i + a, i + b).  Filling that band costs O(K^2) instead
+    of a K^3 product, and the small-integer entries come out exact.
+    """
+    stencil = D.matrix[0, : D.order + 1]
+    rows = np.arange(D.matrix.shape[0])
+    R = np.zeros((D.dim, D.dim))
+    for a, sa in enumerate(stencil):
+        for b, sb in enumerate(stencil):
+            R[rows + a, rows + b] += sa * sb
+    return R
 
 
 def augmented(R: np.ndarray, alpha: float) -> AugmentedMatrix:
@@ -184,11 +188,12 @@ def solve_generalized(
 ) -> EigenBasis:
     """Solve ``G v = gamma M v`` for the full eigenbasis.
 
-    M = L L^T is Cholesky-factored, the standard symmetric problem
-    ``L^-1 G L^-T y = gamma y`` is solved, and the eigenvectors are mapped
-    back through v = L^-T y.  Each vector is rescaled to unit Euclidean norm
-    (reconstruction assumes v^T v = 1); pairs come back sorted by descending
-    gamma, ties kept in solver order.
+    One call to ``scipy.linalg.eigh(G, M)`` (LAPACK sygvd) factors M, solves
+    the reduced symmetric problem and maps the eigenvectors back.  Each
+    vector is rescaled to unit Euclidean norm (reconstruction assumes
+    v^T v = 1); columns come back sorted by descending gamma, ties kept in
+    solver order.  A factorization or convergence failure raises
+    EigenSolverError.
 
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
@@ -197,38 +202,23 @@ def solve_generalized(
     if M.dim != K or np.asarray(R).shape != (K, K):
         raise ValueError("G, M and R must share one dimension")
     try:
-        L = sla.cholesky(M.matrix, lower=True)
+        w, V = sla.eigh(G.matrix, M.matrix)
     except sla.LinAlgError as exc:
-        raise EigenSolverError(f"augmented matrix is not positive definite: {exc}") from exc
-    half = sla.solve_triangular(L, G.matrix, lower=True)
-    A = sla.solve_triangular(L, half.T, lower=True).T
-    A = (A + A.T) / 2.0
-    try:
-        w, Y = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    V = sla.solve_triangular(L.T, Y, lower=False)
+        raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
 
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    V = V[:, order] / np.linalg.norm(V[:, order], axis=0, keepdims=True)
+    V = V[:, order]
+    V /= np.linalg.norm(V, axis=0, keepdims=True)
 
     gmax = float(w[0])
     floor = eigen_floor * gmax if gmax > 0 else math.inf
     Rm = np.asarray(R, dtype=np.float64)
-    mus = np.maximum(np.einsum("ki,ki->i", V, Rm @ V), 0.0)  # R is PSD
-    energies = np.einsum("ki,ki->i", V, G.matrix @ V)
-    pairs = []
-    for i in range(K):
-        mu = float(mus[i])
-        pairs.append(
-            EigenPair(
-                gamma=float(w[i]),
-                vector=V[:, i],
-                mu=mu,
-                energy=float(energies[i]),
-                shrink_weight=1.0 / (1.0 + M.alpha * mu),
-                negligible=bool(w[i] < floor),
-            )
-        )
-    return EigenBasis(pairs=tuple(pairs), alpha=M.alpha)
+    return EigenBasis(
+        gammas=w,
+        vectors=V,
+        mu=np.maximum(np.einsum("ki,ki->i", V, Rm @ V), 0.0),  # R is PSD
+        energy=np.einsum("ki,ki->i", V, G.matrix @ V),
+        negligible=w < floor,
+        alpha=M.alpha,
+    )

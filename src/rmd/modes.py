@@ -15,7 +15,7 @@ from .embedding import (
     SignalTooShortError,
     TrajectoryMatrix,
     build_trajectory_matrix,
-    diagonal_average,
+    diagonal_average,  # noqa: F401  re-exported as rmd.modes.diagonal_average
     select_embedding_dimension,
 )
 from .eigen import (
@@ -27,7 +27,7 @@ from .eigen import (
     smoothing_matrix,
     solve_generalized,
 )
-from .signals import TimeSeries, dominant_frequency, pearson, periodogram, write_timeseries_csv
+from .signals import TimeSeries, dominant_frequency, periodogram, write_timeseries_csv
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
@@ -107,6 +107,45 @@ class ModeSet:
         return self.residual.with_samples(total)
 
 
+def _features(V: np.ndarray, measure: str, coord_scale: np.ndarray | None = None) -> np.ndarray:
+    """Columns of V mapped so that similarities are column products.
+
+    cosine, pearson and spectral columns are the raw, centred and |rfft|
+    columns scaled to unit norm; a zero-norm column becomes NaN, where its
+    similarity is undefined.  normalized-euclidean columns are divided by
+    the per-coordinate sigmas (``coord_scale``, by default the standard
+    deviation across the columns), zero-sigma coordinates dropped.
+    """
+    if measure == "normalized-euclidean":
+        if coord_scale is None:
+            coord_scale = np.std(V, axis=1)
+        keep = coord_scale > 0
+        return V[keep] / coord_scale[keep, None]
+    if measure == "cosine":
+        F = V
+    elif measure == "pearson":
+        F = V - V.mean(axis=0)
+    elif measure == "spectral":
+        F = np.abs(np.fft.rfft(V, axis=0))
+    else:
+        raise ValueError(f"unknown similarity measure {measure!r}")
+    with np.errstate(invalid="ignore"):
+        return F / np.linalg.norm(F, axis=0)
+
+
+def _similarities(F: np.ndarray, seed: int, others: np.ndarray, measure: str) -> np.ndarray:
+    """Similarity of feature column ``seed`` to each column in ``others``."""
+    if measure == "normalized-euclidean":
+        # zero-variance coordinates are gone; none left means identical
+        d = np.sqrt(np.sum((F[:, others] - F[:, [seed]]) ** 2, axis=0))
+        return 1.0 / (1.0 + d)
+    sims = np.abs(F[:, others].T @ F[:, seed])
+    if np.isnan(sims).any():
+        what = "zero-variance" if measure == "pearson" else "zero-norm"
+        raise ValueError(f"{measure} similarity undefined for {what} input")
+    return sims
+
+
 def similarity(
     a: np.ndarray,
     b: np.ndarray,
@@ -126,28 +165,8 @@ def similarity(
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("vectors must be 1-D and of equal length")
-    if measure == "cosine":
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0 or nb == 0:
-            raise ValueError("cosine similarity undefined for zero-norm input")
-        return abs(float(a @ b)) / (na * nb)
-    if measure == "pearson":
-        return abs(pearson(a, b))
-    if measure == "normalized-euclidean":
-        if coord_scale is None:
-            coord_scale = np.std(np.stack([a, b]), axis=0)
-        keep = coord_scale > 0
-        # zero-variance coordinates are skipped; none left means identical
-        d = math.sqrt(float(np.sum(((a[keep] - b[keep]) / coord_scale[keep]) ** 2)))
-        return 1.0 / (1.0 + d)
-    if measure == "spectral":
-        fa = np.abs(np.fft.rfft(a))
-        fb = np.abs(np.fft.rfft(b))
-        na, nb = np.linalg.norm(fa), np.linalg.norm(fb)
-        if na == 0 or nb == 0:
-            raise ValueError("spectral similarity undefined for zero-norm input")
-        return abs(float(fa @ fb)) / (na * nb)
-    raise ValueError(f"unknown similarity measure {measure!r}")
+    F = _features(np.column_stack([a, b]), measure, coord_scale)
+    return float(_similarities(F, 0, np.array([1]), measure)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,22 +185,20 @@ def cluster_and_merge(
 
     Each still-unconsumed eigenvector seeds a cluster and absorbs every
     later unconsumed vector whose similarity to the seed exceeds the merge
-    threshold.  Members are sign-aligned to the seed and combined by an
-    eigenvalue-weighted mean, renormalized to unit norm.  Clustering stops
-    after ``n_modes`` clusters or when all vectors are spent; leftovers
-    (including the numerically negligible pairs, which never join clusters)
-    are returned as the residual set.
+    threshold.  The similarity features are built once, so each seed costs
+    one product against the remaining columns.  Members are sign-aligned to
+    the seed and combined by an eigenvalue-weighted mean, renormalized to
+    unit norm.  Clustering stops after ``n_modes`` clusters or when all
+    vectors are spent; leftovers (including the numerically negligible
+    pairs, which never join clusters) are returned as the residual set.
     """
-    if len(basis) == 0:
+    K = len(basis)
+    if K == 0:
         raise ValueError("empty eigenbasis")
-    pairs = basis.pairs
-    K = len(pairs)
+    V = basis.vectors
+    F = _features(V, config.similarity)
 
-    coord_scale = None
-    if config.similarity == "normalized-euclidean":
-        coord_scale = np.std(basis.vectors, axis=1)
-
-    consumed = [p.negligible for p in pairs]
+    consumed = basis.negligible.copy()
     merged: list[MergedMode] = []
     for i in range(K):
         if len(merged) >= config.n_modes:
@@ -189,40 +206,41 @@ def cluster_and_merge(
         if consumed[i]:
             continue
         consumed[i] = True
-        members = [i]
-        for j in range(i + 1, K):
-            if consumed[j]:
-                continue
-            sim = similarity(
-                pairs[i].vector, pairs[j].vector, config.similarity, coord_scale
-            )
-            if sim > config.merge_threshold:
-                consumed[j] = True
-                members.append(j)
-        seed = pairs[members[0]].vector
-        acc = np.zeros_like(seed)
-        total = 0.0
-        for m in members:
-            v = pairs[m].vector
-            if float(v @ seed) < 0:
-                v = -v
-            acc += pairs[m].gamma * v
-            total += pairs[m].gamma
-        if total > 0:
-            vec = acc / total
-        else:
-            # all-zero eigenvalues (possible with eigen_floor=0): equal weights
-            vec = np.mean([
-                pairs[m].vector * (1.0 if float(pairs[m].vector @ seed) >= 0 else -1.0)
-                for m in members
-            ], axis=0)
+        others = i + 1 + np.flatnonzero(~consumed[i + 1:])
+        joined = others[_similarities(F, i, others, config.similarity) > config.merge_threshold]
+        consumed[joined] = True
+        members = [i, *joined.tolist()]
+
+        W = V[:, members]
+        W = W * np.where(W.T @ W[:, 0] < 0, -1.0, 1.0)
+        gammas = basis.gammas[members]
+        total = float(sum(gammas))
+        # all-zero eigenvalues (possible with eigen_floor=0): equal weights
+        vec = W @ gammas / total if total > 0 else W.mean(axis=1)
         vec = vec / np.linalg.norm(vec)
         merged.append(
             MergedMode(vector=vec, gamma_total=total, member_indices=tuple(members))
         )
-    leftovers = [pairs[i].vector for i in range(K) if not consumed[i]]
-    leftovers += [p.vector for p in pairs if p.negligible]
+    leftovers = [V[:, i] for i in range(K) if not consumed[i]]
+    leftovers += [V[:, i] for i in np.flatnonzero(basis.negligible)]
     return merged, leftovers
+
+
+def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains=1.0) -> np.ndarray:
+    """Diagonal average of ``sum_m gains[m] * X v_m v_m^T`` over the columns of V.
+
+    Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], which is
+    sample k of the full convolution u * v; dividing by the anti-diagonal
+    counts finishes the average without forming any L x K matrix.
+    """
+    U = (X.data @ V) * gains
+    sums = np.zeros(X.n_samples)
+    for m in range(V.shape[1]):
+        sums += np.convolve(U[:, m], V[:, m])
+    n = X.n_samples
+    k = np.arange(n)
+    counts = np.minimum(np.minimum(k + 1, n - k), min(X.n_windows, X.embedding_dim))
+    return sums / counts
 
 
 def reconstruct_mode(
@@ -241,33 +259,19 @@ def reconstruct_mode(
         raise ValueError("eigenvector must have unit Euclidean norm")
     if not 0.0 < g <= 1.0:
         raise ValueError("shrinkage weight must lie in (0, 1]")
-    Z = np.outer(g * (X.data @ v), v)
-    return TimeSeries(diagonal_average(Z, X.n_samples), sample_rate)
-
-
-def _mode_trajectory(X: TrajectoryMatrix, basis: EigenBasis, cluster: MergedMode,
-                     shrinkage: bool) -> np.ndarray:
-    """Trajectory-matrix contribution of one cluster.
-
-    Sums the members' rank-1 projections X v v^T (the additive form the
-    shrinkage gains are defined for); the merged mean vector stays the
-    cluster's reported representative.
-    """
-    Z = np.zeros_like(X.data)
-    for m in cluster.member_indices:
-        pair = basis.pairs[m]
-        g = pair.shrink_weight if shrinkage else 1.0
-        Z += np.outer(g * (X.data @ pair.vector), pair.vector)
-    return Z
+    return TimeSeries(_anti_diagonal_average(X, v[:, None], g), sample_rate)
 
 
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     """Run the full bandwidth-regularized decomposition pipeline.
 
     Embedding -> Gram matrix -> regularized generalized eigensolve ->
-    similarity clustering -> per-cluster reconstruction -> residual.  The
-    residual is the diagonal average of whatever the clusters did not claim,
-    so modes + residual always reproduce the input.
+    similarity clustering -> per-cluster reconstruction -> residual.  Each
+    cluster is the diagonal average of its members' rank-1 projections
+    X v v^T (the additive form the shrinkage gains are defined for); the
+    merged mean vector stays the cluster's reported representative.  The
+    residual is the input minus the modes, so modes + residual reproduce
+    the input.
     """
     n = len(x)
     if n < 12:
@@ -288,12 +292,11 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     clusters, _ = cluster_and_merge(basis, config)
 
+    gains = 1.0 / (1.0 + basis.alpha * basis.mu) if config.shrinkage else np.ones(K)
     entries = []
-    Z_sum = np.zeros_like(X.data)
     for c in clusters:
-        Z = _mode_trajectory(X, basis, c, config.shrinkage)
-        Z_sum += Z
-        series = x.with_samples(diagonal_average(Z, n))
+        idx = list(c.member_indices)
+        series = x.with_samples(_anti_diagonal_average(X, basis.vectors[:, idx], gains[idx]))
         mu = max(float(c.vector @ R @ c.vector), 0.0)
         energy = float(c.vector @ G.matrix @ c.vector)
         peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
@@ -304,11 +307,11 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
             members=len(c.member_indices),
             peak_frequency_hz=peak,
         )))
-    residual = x.with_samples(diagonal_average(X.data - Z_sum, n))
 
     entries.sort(key=lambda e: -e[0])
     modes = tuple(e[1] for e in entries)
     report = tuple(e[2] for e in entries)
+    residual = x.with_samples(x.samples - sum(m.samples for m in modes))
 
     warnings = ()
     if len(modes) < config.n_modes:
@@ -346,7 +349,8 @@ def _verify_variance_ratio(report, alpha: float) -> None:
     # mean of 1/(1+alpha*mu)^2 over modes can never exceed 1 for mu >= 0
     if not report:
         return
-    ratio = float(np.mean([1.0 / (1.0 + alpha * e.mu) ** 2 for e in report]))
+    # square the gain, not the denominator: 1 + alpha*mu may be near overflow
+    ratio = float(np.mean([(1.0 / (1.0 + alpha * e.mu)) ** 2 for e in report]))
     if ratio > 1.0 + 1e-12:
         raise AssertionError(f"variance-ratio bound violated: {ratio}")
 
@@ -354,14 +358,14 @@ def _verify_variance_ratio(report, alpha: float) -> None:
 def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
     """Plain SVD trajectory-matrix baseline (the alpha = 0 special case).
 
-    Component i is the diagonal average of ``sigma_i u_i v_i^T``; the top r
-    components are returned together with the residual of everything else.
+    Component i is the diagonal average of ``sigma_i u_i v_i^T = X v_i v_i^T``,
+    reconstructed like an RMD mode; the top r components are returned
+    together with the residual of everything else.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    n = len(x)
     X = build_trajectory_matrix(x, K)
-    U, s, Vt = np.linalg.svd(X.data, full_matrices=False)
+    _, s, Vt = np.linalg.svd(X.data, full_matrices=False)
     warnings = ()
     if r > s.size:
         warnings = (f"requested {r} components but rank is at most {s.size}",)
@@ -369,12 +373,9 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
 
     modes = []
     report = []
-    Z_sum = np.zeros_like(X.data)
     for i in range(r):
-        Z = s[i] * np.outer(U[:, i], Vt[i])
-        Z_sum += Z
-        series = x.with_samples(diagonal_average(Z, n))
         v = Vt[i]
+        series = x.with_samples(_anti_diagonal_average(X, v[:, None]))
         mu = float(np.sum(np.diff(v) ** 2))
         peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
         modes.append(series)
@@ -385,7 +386,7 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
             members=1,
             peak_frequency_hz=peak,
         ))
-    residual = x.with_samples(diagonal_average(X.data - Z_sum, n))
+    residual = x.with_samples(x.samples - sum(m.samples for m in modes))
     config = DecompositionConfig(
         n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
         similarity="cosine", K_override=K,

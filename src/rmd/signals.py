@@ -389,7 +389,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
         rate = float(doc["sample_rate_hz"])
     except (ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
-    return rate if rate > 0 else None
+    return rate if math.isfinite(rate) and rate > 0 else None
 
 
 def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:

@@ -136,10 +136,10 @@ def test_criterion_03_generalized_eigen_contracts(capsys):
             cross = np.abs(V.T @ MV) / np.outer(mnorm, mnorm)
             np.fill_diagonal(cross, 0.0)
             worst_orth = max(worst_orth, float(cross.max()))
-            for p in basis.pairs:
-                denom = max(abs(p.energy), 1e-300)
+            for gamma, mu, energy in zip(basis.gammas, basis.mu, basis.energy):
+                denom = max(abs(energy), 1e-300)
                 worst_rayleigh = max(
-                    worst_rayleigh, abs(p.gamma * (1 + alpha * p.mu) - p.energy) / denom
+                    worst_rayleigh, abs(gamma * (1 + alpha * mu) - energy) / denom
                 )
             g = basis.gammas
             if prev is not None:

@@ -148,6 +148,28 @@ class TestDecompose:
         assert "12 samples" in capsys.readouterr().err
 
 
+    def test_huge_alpha_exits_cleanly(self, tone_file, tmp_path, capsys):
+        code = run_cli(
+            "decompose", str(tone_file), "-r", "2", "--alpha", "1e300",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code in (0, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "sidecar-1e400"])
+    def test_non_finite_sample_rate_exits_2(self, tone_file, tmp_path, capsys, source):
+        argv = ["decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o")]
+        if source == "sidecar-1e400":
+            # 1e400 parses to inf
+            tone_file.with_suffix(".json").write_text('{"sample_rate_hz": 1e400}\n')
+        else:
+            argv += ["--sample-rate", source.removeprefix("flag-")]
+        code = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sample" in err and "Traceback" not in err
+
+
 class TestSpectrum:
     def test_five_hz_tone(self, tone_file, tmp_path, capsys):
         out = tmp_path / "spec.csv"

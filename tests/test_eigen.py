@@ -91,6 +91,12 @@ class TestSmoothingMatrix:
         R = smoothing_matrix(diff_operator(1, 3))
         np.testing.assert_array_equal(R, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
+    def test_band_fill_equals_dense_product(self):
+        for order in (1, 2):
+            for K in range(order + 1, 40):
+                D = diff_operator(order, K)
+                assert np.array_equal(smoothing_matrix(D), D.matrix.T @ D.matrix)
+
     def test_constant_null_space(self):
         R = smoothing_matrix(diff_operator(1, 7))
         np.testing.assert_allclose(R @ np.ones(7), 0.0, atol=1e-15)
@@ -141,8 +147,8 @@ class TestSolveGeneralized:
         G = GramMatrix(np.diag([4.0, 1.0]))
         basis = solve_for(G, alpha=0.0)
         np.testing.assert_allclose(basis.gammas, [4.0, 1.0], rtol=1e-12)
-        np.testing.assert_allclose(np.abs(basis.pairs[0].vector), [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(basis.pairs[1].vector), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(basis.vectors[:, 0]), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(basis.vectors[:, 1]), [0.0, 1.0], atol=1e-12)
 
     def test_closed_form_2x2(self):
         # G = 2I with M = [[2,-1],[-1,2]]: M(1,1)^T = (1,1)^T so gamma = 2,
@@ -155,8 +161,8 @@ class TestSolveGeneralized:
         got = np.abs(basis.vectors)
         np.testing.assert_allclose(got[:, 0], [s, s], atol=1e-12)
         np.testing.assert_allclose(got[:, 1], [s, s], atol=1e-12)
-        assert basis.pairs[0].vector[0] * basis.pairs[0].vector[1] > 0
-        assert basis.pairs[1].vector[0] * basis.pairs[1].vector[1] < 0
+        assert basis.vectors[0, 0] * basis.vectors[1, 0] > 0
+        assert basis.vectors[0, 1] * basis.vectors[1, 1] < 0
 
     def test_alpha_zero_matches_standard_eigh(self, rng):
         # independent oracle: plain symmetric eigensolver on G
@@ -168,8 +174,8 @@ class TestSolveGeneralized:
     def test_unit_norm_and_sorted(self, rng):
         G = random_psd(rng, 16)
         basis = solve_for(G, alpha=0.7)
-        for p in basis.pairs:
-            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-10)
+        for v in basis.vectors.T:
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
         g = basis.gammas
         assert np.all(g[:-1] >= g[1:] - 1e-12)
 
@@ -178,8 +184,8 @@ class TestSolveGeneralized:
         for alpha in (0.0, 0.1, 1.0, 10.0):
             G = random_psd(rng, 10)
             basis = solve_for(G, alpha=alpha)
-            for p in basis.pairs:
-                assert p.gamma * (1 + alpha * p.mu) == pytest.approx(p.energy, rel=1e-8)
+            for gamma, mu, energy in zip(basis.gammas, basis.mu, basis.energy):
+                assert gamma * (1 + alpha * mu) == pytest.approx(energy, rel=1e-8)
 
     def test_m_orthogonality(self, rng):
         G = random_psd(rng, 12)
@@ -222,23 +228,25 @@ class TestSolveGeneralized:
         basis = solve_for(G, alpha=0.0)
         _, svals, Vt = np.linalg.svd(tm.data)
         np.testing.assert_allclose(basis.gammas, svals**2, rtol=1e-7)
-        for i, p in enumerate(basis.pairs):
+        for i, v in enumerate(basis.vectors.T):
             err = min(
-                np.abs(p.vector - Vt[i]).max(), np.abs(p.vector + Vt[i]).max()
+                np.abs(v - Vt[i]).max(), np.abs(v + Vt[i]).max()
             )
             assert err < 1e-7
 
     def test_negligible_flagging(self):
         G = GramMatrix(np.diag([1.0, 1e-20, 0.0]))
         basis = solve_for(G, alpha=0.0, K=3)
-        assert [p.negligible for p in basis.pairs] == [False, True, True]
+        assert basis.negligible.tolist() == [False, True, True]
 
     def test_shrink_weights(self, rng):
         G = random_psd(rng, 8)
         basis = solve_for(G, alpha=2.0)
-        for p in basis.pairs:
-            assert p.shrink_weight == pytest.approx(1.0 / (1.0 + 2.0 * p.mu), rel=1e-12)
-            assert 0.0 < p.shrink_weight <= 1.0
+        # the gain is computed where it is used, from the basis arrays
+        gains = 1.0 / (1.0 + basis.alpha * basis.mu)
+        for gain, mu in zip(gains, basis.mu):
+            assert gain == pytest.approx(1.0 / (1.0 + 2.0 * mu), rel=1e-12)
+            assert 0.0 < gain <= 1.0
 
     def test_cholesky_failure_surfaces(self):
         G = GramMatrix(np.eye(2))

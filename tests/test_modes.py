@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmd.eigen import EigenBasis, EigenPair
+from rmd.eigen import (
+    EigenBasis,
+    augmented,
+    diff_operator,
+    gram,
+    smoothing_matrix,
+    solve_generalized,
+)
 from rmd.embedding import TrajectoryMatrix, build_trajectory_matrix, diagonal_average
 from rmd.modes import (
     DecompositionConfig,
@@ -26,15 +33,14 @@ from rmd.signals import (
 
 
 def make_basis(vectors, gammas, alpha=0.0):
-    pairs = []
-    for v, g in zip(vectors, gammas):
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        pairs.append(EigenPair(
-            gamma=float(g), vector=v, mu=0.0, energy=float(g),
-            shrink_weight=1.0, negligible=False,
-        ))
-    return EigenBasis(pairs=tuple(pairs), alpha=alpha)
+    V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    V = V / np.linalg.norm(V, axis=0)
+    k = len(gammas)
+    return EigenBasis(
+        gammas=np.asarray(gammas, dtype=float), vectors=V, mu=np.zeros(k),
+        energy=np.asarray(gammas, dtype=float), negligible=np.zeros(k, dtype=bool),
+        alpha=alpha,
+    )
 
 
 class TestConfig:
@@ -135,8 +141,6 @@ class TestClusterAndMerge:
 
     def test_quadrature_pair_of_tone_merges_with_spectral(self):
         tone, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)
-        from rmd.eigen import augmented, diff_operator, gram, smoothing_matrix, solve_generalized
-
         tm = build_trajectory_matrix(tone, 48)
         R = smoothing_matrix(diff_operator(1, 48))
         basis = solve_generalized(gram(tm), augmented(R, 0.3), R)
@@ -153,8 +157,10 @@ class TestClusterAndMerge:
         assert len(leftovers) == 3
 
     def test_empty_basis_rejected(self):
+        empty = EigenBasis(gammas=np.empty(0), vectors=np.empty((0, 0)), mu=np.empty(0),
+                           energy=np.empty(0), negligible=np.empty(0, dtype=bool), alpha=0.0)
         with pytest.raises(ValueError):
-            cluster_and_merge(EigenBasis(pairs=(), alpha=0.0), DecompositionConfig(n_modes=1))
+            cluster_and_merge(empty, DecompositionConfig(n_modes=1))
 
     def test_zero_eigenvalue_cluster_with_no_floor(self):
         # eigen_floor=0 admits zero-gamma pairs; merging must not divide by 0
@@ -319,6 +325,105 @@ class TestRmdDecompose:
         x = TimeSeries(np.arange(20, dtype=float), 1.0)
         with pytest.raises(ValueError):
             rmd_decompose(x, DecompositionConfig(n_modes=1, K_override=20))
+
+
+def solve_basis(x, K, alpha, order):
+    tm = build_trajectory_matrix(x, K)
+    R = smoothing_matrix(diff_operator(order, K))
+    return tm, solve_generalized(gram(tm), augmented(R, alpha), R)
+
+
+def naive_clusters(basis, cfg):
+    """Greedy clustering by one similarity() call per pair, the reference loop."""
+    V = basis.vectors
+    scale = np.std(V, axis=1) if cfg.similarity == "normalized-euclidean" else None
+    consumed = basis.negligible.tolist()
+    clusters = []
+    for i in range(len(basis)):
+        if len(clusters) >= cfg.n_modes:
+            break
+        if consumed[i]:
+            continue
+        consumed[i] = True
+        members = [i]
+        for j in range(i + 1, len(basis)):
+            if consumed[j]:
+                continue
+            if similarity(V[:, i], V[:, j], cfg.similarity, scale) > cfg.merge_threshold:
+                consumed[j] = True
+                members.append(j)
+        clusters.append(tuple(members))
+    return clusters
+
+
+class TestArrayPathOracles:
+    """The array-native pipeline against the direct matrix forms it replaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), order=st.sampled_from([1, 2]),
+           shrinkage=st.booleans())
+    def test_modes_and_residual_match_outer_product_oracle(self, seed, order, shrinkage):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 80))
+        K = int(rng.integers(order + 1, n // 2 + 1))
+        x = TimeSeries(rng.standard_normal(n), 10.0)
+        cfg = DecompositionConfig(
+            n_modes=int(rng.integers(1, K + 1)), merge_threshold=float(rng.uniform(0.3, 1.0)),
+            alpha=float(rng.uniform(0.0, 5.0)), diff_order=order, similarity="cosine",
+            K_override=K, shrinkage=shrinkage,
+        )
+        ms = rmd_decompose(x, cfg)
+        tm, basis = solve_basis(x, K, cfg.alpha, order)
+        clusters, _ = cluster_and_merge(basis, cfg)
+        Zs = []
+        for c in sorted(clusters, key=lambda c: -c.gamma_total):
+            Z = np.zeros_like(tm.data)
+            for m in c.member_indices:
+                v = basis.vectors[:, m]
+                g = 1.0 / (1.0 + cfg.alpha * basis.mu[m]) if shrinkage else 1.0
+                Z += g * np.outer(tm.data @ v, v)
+            Zs.append(Z)
+        assert len(ms.modes) == len(Zs)
+        scale = np.abs(x.samples).max()
+        for mode, Z in zip(ms.modes, Zs):
+            oracle = diagonal_average(Z, n)
+            assert np.abs(mode.samples - oracle).max() <= 1e-12 * scale
+        oracle = diagonal_average(tm.data - sum(Zs), n)
+        assert np.abs(ms.residual.samples - oracle).max() <= 1e-12 * scale
+
+    def test_reconstruct_mode_matches_outer_product_oracle(self, rng):
+        x = TimeSeries(rng.standard_normal(40), 1.0)
+        tm = build_trajectory_matrix(x, 9)
+        v = rng.standard_normal(9)
+        v /= np.linalg.norm(v)
+        out = reconstruct_mode(tm, v, g=0.4)
+        oracle = diagonal_average(0.4 * np.outer(tm.data @ v, v), 40)
+        assert np.abs(out.samples - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("measure", ["cosine", "pearson", "normalized-euclidean", "spectral"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_clusters_match_pairwise_greedy_loop(self, measure, order):
+        rng = np.random.default_rng(5 + order)
+        merged_any = False
+        for _ in range(8):
+            n = int(rng.integers(30, 90))
+            K = int(rng.integers(order + 3, 16))
+            x = TimeSeries(rng.standard_normal(n), 1.0)
+            _, basis = solve_basis(x, K, float(rng.uniform(0.0, 3.0)), order)
+            # threshold halfway between two distinct pairwise similarities near the
+            # upper quartile, so that members merge and no pair sits on the threshold
+            V = basis.vectors
+            scale = np.std(V, axis=1) if measure == "normalized-euclidean" else None
+            sims = np.unique([similarity(V[:, i], V[:, j], measure, scale)
+                              for i in range(K) for j in range(i + 1, K)])
+            q = int(0.75 * (len(sims) - 1))
+            theta = float(sims[q] + sims[q + 1]) / 2
+            cfg = DecompositionConfig(n_modes=K, merge_threshold=theta, similarity=measure)
+            clusters, _ = cluster_and_merge(basis, cfg)
+            expected = naive_clusters(basis, cfg)
+            assert [c.member_indices for c in clusters] == expected
+            merged_any |= any(len(m) > 1 for m in expected)
+        assert merged_any
 
 
 class TestSsaDecompose:
