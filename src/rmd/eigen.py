@@ -110,7 +110,7 @@ class EigenBasis:
     def __post_init__(self):
         for name in ("gammas", "vectors", "mu", "energy", "negligible"):
             dtype = bool if name == "negligible" else np.float64
-            a = np.asarray(getattr(self, name), dtype=dtype).view()  # read-only view, no copy
+            a = np.array(getattr(self, name), dtype=dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         K = self.gammas.size
@@ -150,19 +150,8 @@ def diff_operator(order: int, K: int) -> DifferenceOperator:
 
 
 def smoothing_matrix(D: DifferenceOperator) -> np.ndarray:
-    """R = D^T D, the positive semi-definite roughness quadratic form.
-
-    Row i of D holds the stencil s at columns i .. i + order, so it adds
-    s[a] * s[b] at (i + a, i + b).  Filling that band costs O(K^2) instead
-    of a K^3 product, and the small-integer entries come out exact.
-    """
-    stencil = D.matrix[0, : D.order + 1]
-    rows = np.arange(D.matrix.shape[0])
-    R = np.zeros((D.dim, D.dim))
-    for a, sa in enumerate(stencil):
-        for b, sb in enumerate(stencil):
-            R[rows + a, rows + b] += sa * sb
-    return R
+    """R = D^T D, the positive semi-definite roughness quadratic form."""
+    return D.matrix.T @ D.matrix
 
 
 def augmented(R: np.ndarray, alpha: float) -> AugmentedMatrix:

@@ -107,43 +107,15 @@ class ModeSet:
         return self.residual.with_samples(total)
 
 
-def _features(V: np.ndarray, measure: str, coord_scale: np.ndarray | None = None) -> np.ndarray:
-    """Columns of V mapped so that similarities are column products.
-
-    cosine, pearson and spectral columns are the raw, centred and |rfft|
-    columns scaled to unit norm; a zero-norm column becomes NaN, where its
-    similarity is undefined.  normalized-euclidean columns are divided by
-    the per-coordinate sigmas (``coord_scale``, by default the standard
-    deviation across the columns), zero-sigma coordinates dropped.
-    """
-    if measure == "normalized-euclidean":
-        if coord_scale is None:
-            coord_scale = np.std(V, axis=1)
-        keep = coord_scale > 0
-        return V[keep] / coord_scale[keep, None]
+def _profile(V: np.ndarray, measure: str) -> np.ndarray:
+    """What a product measure compares: the raw, centred or |rfft| columns."""
     if measure == "cosine":
-        F = V
-    elif measure == "pearson":
-        F = V - V.mean(axis=0)
-    elif measure == "spectral":
-        F = np.abs(np.fft.rfft(V, axis=0))
-    else:
-        raise ValueError(f"unknown similarity measure {measure!r}")
-    with np.errstate(invalid="ignore"):
-        return F / np.linalg.norm(F, axis=0)
-
-
-def _similarities(F: np.ndarray, seed: int, others: np.ndarray, measure: str) -> np.ndarray:
-    """Similarity of feature column ``seed`` to each column in ``others``."""
-    if measure == "normalized-euclidean":
-        # zero-variance coordinates are gone; none left means identical
-        d = np.sqrt(np.sum((F[:, others] - F[:, [seed]]) ** 2, axis=0))
-        return 1.0 / (1.0 + d)
-    sims = np.abs(F[:, others].T @ F[:, seed])
-    if np.isnan(sims).any():
-        what = "zero-variance" if measure == "pearson" else "zero-norm"
-        raise ValueError(f"{measure} similarity undefined for {what} input")
-    return sims
+        return V
+    if measure == "pearson":
+        return V - V.mean(axis=0)
+    if measure == "spectral":
+        return np.abs(np.fft.rfft(V, axis=0))
+    raise ValueError(f"unknown similarity measure {measure!r}")
 
 
 def similarity(
@@ -151,22 +123,38 @@ def similarity(
     b: np.ndarray,
     measure: str,
     coord_scale: np.ndarray | None = None,
-) -> float:
-    """Similarity of two vectors in [0, 1] under the chosen measure.
+) -> float | np.ndarray:
+    """Similarity of vector ``a`` to ``b`` in [0, 1] under the chosen measure.
 
+    ``b`` is one vector of a's length, giving a float, or a matrix whose
+    columns are each compared with ``a``, giving one value per column.
     cosine and pearson are reported as absolute values (eigenvector sign is
     meaningless).  normalized-euclidean is the per-coordinate sigma-scaled
     distance mapped through 1/(1+d); ``coord_scale`` supplies the sigmas and
-    defaults to the per-coordinate standard deviation of the pair itself.
-    spectral compares DFT magnitude profiles, which makes quadrature pairs
-    of the same frequency nearly identical.
+    defaults to the per-coordinate standard deviation of ``a`` and ``b``
+    together.  spectral compares DFT magnitude profiles, which makes
+    quadrature pairs of the same frequency nearly identical.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("vectors must be 1-D and of equal length")
-    F = _features(np.column_stack([a, b]), measure, coord_scale)
-    return float(_similarities(F, 0, np.array([1]), measure)[0])
+    if a.ndim != 1 or b.ndim not in (1, 2) or b.shape[0] != a.size:
+        raise ValueError("a must be 1-D and b a vector or columns of a's length")
+    B = b if b.ndim == 2 else b[:, None]
+    if measure == "normalized-euclidean":
+        if coord_scale is None:
+            coord_scale = np.std(np.column_stack([a, B]), axis=1)
+        keep = coord_scale > 0
+        # zero-variance coordinates are skipped; none left means identical
+        scaled = (B[keep] - a[keep, None]) / coord_scale[keep, None]
+        sims = 1.0 / (1.0 + np.sqrt(np.sum(scaled**2, axis=0)))
+    else:
+        fa, FB = _profile(a, measure), _profile(B, measure)
+        with np.errstate(invalid="ignore"):
+            sims = np.abs(FB.T @ fa) / (np.linalg.norm(FB, axis=0) * np.linalg.norm(fa))
+        if np.isnan(sims).any():
+            what = "zero-variance" if measure == "pearson" else "zero-norm"
+            raise ValueError(f"{measure} similarity undefined for {what} input")
+    return float(sims[0]) if b.ndim == 1 else sims
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,18 +173,21 @@ def cluster_and_merge(
 
     Each still-unconsumed eigenvector seeds a cluster and absorbs every
     later unconsumed vector whose similarity to the seed exceeds the merge
-    threshold.  The similarity features are built once, so each seed costs
-    one product against the remaining columns.  Members are sign-aligned to
-    the seed and combined by an eigenvalue-weighted mean, renormalized to
-    unit norm.  Clustering stops after ``n_modes`` clusters or when all
-    vectors are spent; leftovers (including the numerically negligible
-    pairs, which never join clusters) are returned as the residual set.
+    threshold; one ``similarity`` call compares the seed with all of them
+    (normalized-euclidean scales coordinates by their spread over the whole
+    basis).  Members are sign-aligned to the seed and combined by an
+    eigenvalue-weighted mean, renormalized to unit norm.  Clustering stops
+    after ``n_modes`` clusters or when all vectors are spent; leftovers
+    (including the numerically negligible pairs, which never join clusters)
+    are returned as the residual set.
     """
     K = len(basis)
     if K == 0:
         raise ValueError("empty eigenbasis")
     V = basis.vectors
-    F = _features(V, config.similarity)
+    coord_scale = None
+    if config.similarity == "normalized-euclidean":
+        coord_scale = np.std(V, axis=1)
 
     consumed = basis.negligible.copy()
     merged: list[MergedMode] = []
@@ -207,7 +198,8 @@ def cluster_and_merge(
             continue
         consumed[i] = True
         others = i + 1 + np.flatnonzero(~consumed[i + 1:])
-        joined = others[_similarities(F, i, others, config.similarity) > config.merge_threshold]
+        sims = similarity(V[:, i], V[:, others], config.similarity, coord_scale)
+        joined = others[sims > config.merge_threshold]
         consumed[joined] = True
         members = [i, *joined.tolist()]
 
@@ -334,6 +326,9 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
 
 def _verify_completeness(x: TimeSeries, modes, residual, rel_tol: float = 1e-9) -> None:
+    # The residual is x - sum(modes), so this holds by construction up to the
+    # rounding of that sum; it cannot catch a wrongly reconstructed mode (the
+    # outer-product oracles in tests/test_modes.py do that).
     total = residual.samples.copy()
     for m in modes:
         total += m.samples

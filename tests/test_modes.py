@@ -15,6 +15,7 @@ from rmd.eigen import (
 )
 from rmd.embedding import TrajectoryMatrix, build_trajectory_matrix, diagonal_average
 from rmd.modes import (
+    SIMILARITY_MEASURES,
     DecompositionConfig,
     cluster_and_merge,
     reconstruct_mode,
@@ -101,6 +102,22 @@ class TestSimilarity:
         b = rng.standard_normal(12)
         s = similarity(a, b, "normalized-euclidean")
         assert 0.0 < s <= 1.0
+
+    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
+    def test_columns_match_one_call_per_vector(self, rng, measure):
+        a = rng.standard_normal(12)
+        B = rng.standard_normal((12, 5))
+        scale = np.std(np.column_stack([a, B]), axis=1)
+        sims = similarity(a, B, measure, scale)
+        assert sims.shape == (5,)
+        for j in range(5):
+            assert sims[j] == pytest.approx(similarity(a, B[:, j], measure, scale), rel=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            similarity(np.ones(8), np.ones(7), "cosine")
+        with pytest.raises(ValueError):
+            similarity(np.ones((8, 2)), np.ones(8), "cosine")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -359,17 +376,19 @@ def naive_clusters(basis, cfg):
 class TestArrayPathOracles:
     """The array-native pipeline against the direct matrix forms it replaces."""
 
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), order=st.sampled_from([1, 2]),
            shrinkage=st.booleans())
-    def test_modes_and_residual_match_outer_product_oracle(self, seed, order, shrinkage):
+    def test_modes_and_residual_match_outer_product_oracle(self, measure, seed, order,
+                                                            shrinkage):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(12, 80))
-        K = int(rng.integers(order + 1, n // 2 + 1))
+        K = int(rng.integers(order + 1, n))
         x = TimeSeries(rng.standard_normal(n), 10.0)
         cfg = DecompositionConfig(
             n_modes=int(rng.integers(1, K + 1)), merge_threshold=float(rng.uniform(0.3, 1.0)),
-            alpha=float(rng.uniform(0.0, 5.0)), diff_order=order, similarity="cosine",
+            alpha=float(rng.uniform(0.0, 5.0)), diff_order=order, similarity=measure,
             K_override=K, shrinkage=shrinkage,
         )
         ms = rmd_decompose(x, cfg)
@@ -400,7 +419,7 @@ class TestArrayPathOracles:
         oracle = diagonal_average(0.4 * np.outer(tm.data @ v, v), 40)
         assert np.abs(out.samples - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    @pytest.mark.parametrize("measure", ["cosine", "pearson", "normalized-euclidean", "spectral"])
+    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
     @pytest.mark.parametrize("order", [1, 2])
     def test_clusters_match_pairwise_greedy_loop(self, measure, order):
         rng = np.random.default_rng(5 + order)
