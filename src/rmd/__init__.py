@@ -33,6 +33,7 @@ from .eigen import (
     EigenBasis,
     EigenSolverError,
     GramMatrix,
+    NumericalError,
     augmented,
     diff_operator,
     gram,
@@ -85,6 +86,7 @@ __all__ = [
     "ModeMetrics",
     "ModeReport",
     "ModeSet",
+    "NumericalError",
     "RunConfig",
     "SignalTooShortError",
     "SineComponent",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .embedding import SignalTooShortError, embedding_dim_from_peak
-from .eigen import EigenSolverError
+from .eigen import EigenSolverError, NumericalError
 from .modes import (
     SIMILARITY_MEASURES,
     DecompositionConfig,
@@ -172,7 +172,7 @@ def _cmd_decompose(args) -> int:
         raise _CliError(EXIT_USAGE, str(exc))
     try:
         ms = rmd_decompose(x, config)
-    except (SignalTooShortError, EigenSolverError, FloatingPointError) as exc:
+    except (SignalTooShortError, EigenSolverError, NumericalError, FloatingPointError) as exc:
         raise _CliError(EXIT_NUMERIC, str(exc))
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))

@@ -5,6 +5,7 @@ The decomposition rests on the symmetric-definite generalized eigenproblem
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
 M = I + alpha R is positive definite, so one LAPACK call (sygvd through
 ``scipy.linalg.eigh(G, M)``) returns the whole eigenbasis, held as arrays.
+It is the only O(K^3) step: G, R and each ||D v||^2 use the Hankel and stencil structure.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .embedding import TrajectoryMatrix
 
 
 class EigenSolverError(RuntimeError):
     """Numerical failure inside the generalized eigensolver."""
+
+
+class NumericalError(ArithmeticError):
+    """A decomposition met numbers it cannot use, or failed an internal check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +61,8 @@ class GramMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Gram matrix must be square")
         scale = float(np.abs(m).max()) or 1.0
-        if np.abs(m - m.T).max() > 1e-10 * scale:
+        # transpose by copy first: numpy subtracts a transposed view slowly
+        if np.abs(m.T.copy() - m).max() > 1e-10 * scale:
             raise ValueError("Gram matrix must be symmetric")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -92,8 +99,7 @@ class EigenBasis:
 
     gammas      generalized eigenvalues, shape (K,)
     vectors     eigenvectors as columns, each of unit Euclidean norm, (K, K)
-    mu          roughness quadratics v^T R v (clamped at 0), shape (K,)
-    energy      v^T G v; equals gamma * (1 + alpha * mu), shape (K,)
+    mu          roughness v^T R v = ||D v||^2; v^T G v = gamma (1 + alpha mu), (K,)
     negligible  True where gamma falls below the numerical floor, shape (K,)
     alpha       the regularization weight of M
 
@@ -103,19 +109,18 @@ class EigenBasis:
     gammas: np.ndarray
     vectors: np.ndarray
     mu: np.ndarray
-    energy: np.ndarray
     negligible: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        for name in ("gammas", "vectors", "mu", "energy", "negligible"):
+        for name in ("gammas", "vectors", "mu", "negligible"):
             dtype = bool if name == "negligible" else np.float64
             a = np.array(getattr(self, name), dtype=dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         K = self.gammas.size
         if self.vectors.shape != (K, K) or not (
-            self.mu.shape == self.energy.shape == self.negligible.shape == (K,)
+            self.mu.shape == self.negligible.shape == (K,)
         ):
             raise ValueError("eigenbasis arrays must hold K values and K x K vectors")
 
@@ -124,9 +129,26 @@ class EigenBasis:
 
 
 def gram(X: TrajectoryMatrix) -> GramMatrix:
-    """X^T X, symmetrized as (G + G^T) / 2 to kill rounding asymmetry."""
-    g = X.data.T @ X.data
-    return GramMatrix((g + g.T) / 2.0)
+    """X^T X by the Hankel lag recurrence: O(K^2) after one O(LK) first row.
+
+    Row i of X is x[i : i + K], so G[i+1, j+1] = G[i, j] + x[L+i] x[L+j] - x[i] x[j]
+    (Korobeynikov, arXiv:0911.4498).  Both triangles read the same running
+    sums, so G is exactly symmetric.  Overflow raises NumericalError.
+    """
+    L, K = X.data.shape
+    x = np.concatenate([X.data[:, 0], X.data[-1, 1:], np.zeros(K)])
+    W = sliding_window_view(x, K)  # W[t, d] = x[t + d], zero past the signal
+    H = np.empty((K, K))  # H[i, d] = G[i, i + d] wherever i + d < K
+    with np.errstate(over="ignore", invalid="ignore"):
+        H[0] = x[:L] @ X.data
+        np.multiply(x[L:L + K - 1, None], W[L:L + K - 1], out=H[1:])
+        H[1:] -= x[:K - 1, None] * W[:K - 1]
+        np.cumsum(H, axis=0, out=H)
+    U = as_strided(H, shape=(K, K), strides=(H.strides[0] - H.strides[1], H.strides[1]))
+    g = np.where(np.arange(K)[:, None] <= np.arange(K), U, U.T.copy())
+    if not np.isfinite(g).all():
+        raise NumericalError(f"Gram matrix overflows for signal magnitude {np.abs(x).max():.3g}")
+    return GramMatrix(g)
 
 
 def diff_operator(order: int, K: int) -> DifferenceOperator:
@@ -135,35 +157,22 @@ def diff_operator(order: int, K: int) -> DifferenceOperator:
         raise ValueError("difference order must be 1 or 2")
     if K < order + 1:
         raise ValueError(f"need K >= {order + 1} for order {order}, got K={K}")
-    rows = K - order
-    D = np.zeros((rows, K))
-    if order == 1:
-        idx = np.arange(rows)
-        D[idx, idx] = -1.0
-        D[idx, idx + 1] = 1.0
-    else:
-        idx = np.arange(rows)
-        D[idx, idx] = 1.0
-        D[idx, idx + 1] = -2.0
-        D[idx, idx + 2] = 1.0
-    return DifferenceOperator(order=order, matrix=D)
+    return DifferenceOperator(order=order, matrix=np.diff(np.eye(K), n=order, axis=0))
 
 
 def smoothing_matrix(D: DifferenceOperator) -> np.ndarray:
-    """R = D^T D, the positive semi-definite roughness quadratic form."""
-    return D.matrix.T @ D.matrix
+    """R = D^T D, the PSD roughness form: D's columns differenced by the adjoint
+    of D, (-1)^order * diff(pad(.)), in O(K^2) and bit-identical to the product."""
+    k = D.order
+    return (-1) ** k * np.diff(np.pad(D.matrix, ((k, k), (0, 0))), n=k, axis=0)
 
 
 def augmented(R: np.ndarray, alpha: float) -> AugmentedMatrix:
     """M = I + alpha * R.  alpha = 0 yields the identity exactly."""
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be finite and >= 0")
-    R = np.asarray(R, dtype=np.float64)
-    if alpha == 0.0:
-        M = np.eye(R.shape[0])
-    else:
-        M = np.eye(R.shape[0]) + alpha * R
-    return AugmentedMatrix(matrix=M, alpha=alpha)
+    R = np.asarray(R, dtype=np.float64)  # finite, so 0 * R adds only zeros
+    return AugmentedMatrix(matrix=np.eye(R.shape[0]) + alpha * R, alpha=alpha)
 
 
 EIGEN_FLOOR_DEFAULT = 1e-12
@@ -172,7 +181,7 @@ EIGEN_FLOOR_DEFAULT = 1e-12
 def solve_generalized(
     G: GramMatrix,
     M: AugmentedMatrix,
-    R: np.ndarray,
+    D: DifferenceOperator,
     eigen_floor: float = EIGEN_FLOOR_DEFAULT,
 ) -> EigenBasis:
     """Solve ``G v = gamma M v`` for the full eigenbasis.
@@ -182,14 +191,15 @@ def solve_generalized(
     vector is rescaled to unit Euclidean norm (reconstruction assumes
     v^T v = 1); columns come back sorted by descending gamma, ties kept in
     solver order.  A factorization or convergence failure raises
-    EigenSolverError.
+    EigenSolverError.  D is the stencil of M's R = D^T D: each roughness
+    mu = ||D v||^2 is taken by differencing v, in O(K^2).
 
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
     """
     K = G.dim
-    if M.dim != K or np.asarray(R).shape != (K, K):
-        raise ValueError("G, M and R must share one dimension")
+    if M.dim != K or D.dim != K:
+        raise ValueError("G, M and D must share one dimension")
     try:
         w, V = sla.eigh(G.matrix, M.matrix)
     except sla.LinAlgError as exc:
@@ -202,12 +212,10 @@ def solve_generalized(
 
     gmax = float(w[0])
     floor = eigen_floor * gmax if gmax > 0 else math.inf
-    Rm = np.asarray(R, dtype=np.float64)
     return EigenBasis(
         gammas=w,
         vectors=V,
-        mu=np.maximum(np.einsum("ki,ki->i", V, Rm @ V), 0.0),  # R is PSD
-        energy=np.einsum("ki,ki->i", V, G.matrix @ V),
+        mu=np.sum(np.diff(V, n=D.order, axis=0) ** 2, axis=0),
         negligible=w < floor,
         alpha=M.alpha,
     )

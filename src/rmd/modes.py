@@ -21,6 +21,7 @@ from .embedding import (
 from .eigen import (
     EIGEN_FLOOR_DEFAULT,
     EigenBasis,
+    NumericalError,
     augmented,
     diff_operator,
     gram,
@@ -173,7 +174,8 @@ def cluster_and_merge(
 
     Each still-unconsumed eigenvector seeds a cluster and absorbs every
     later unconsumed vector whose similarity to the seed exceeds the merge
-    threshold; one ``similarity`` call compares the seed with all of them
+    threshold; one ``similarity`` call compares the seed with all of them.
+    The product measures are the cosine of profiles built once per basis
     (normalized-euclidean scales coordinates by their spread over the whole
     basis).  Members are sign-aligned to the seed and combined by an
     eigenvalue-weighted mean, renormalized to unit norm.  Clustering stops
@@ -185,9 +187,11 @@ def cluster_and_merge(
     if K == 0:
         raise ValueError("empty eigenbasis")
     V = basis.vectors
-    coord_scale = None
+    measure, P, coord_scale = "cosine", V, None
     if config.similarity == "normalized-euclidean":
-        coord_scale = np.std(V, axis=1)
+        measure, coord_scale = config.similarity, np.std(V, axis=1)
+    else:
+        P = _profile(V, config.similarity)
 
     consumed = basis.negligible.copy()
     merged: list[MergedMode] = []
@@ -198,7 +202,7 @@ def cluster_and_merge(
             continue
         consumed[i] = True
         others = i + 1 + np.flatnonzero(~consumed[i + 1:])
-        sims = similarity(V[:, i], V[:, others], config.similarity, coord_scale)
+        sims = similarity(P[:, i], P[:, others], measure, coord_scale)
         joined = others[sims > config.merge_threshold]
         consumed[joined] = True
         members = [i, *joined.tolist()]
@@ -218,21 +222,25 @@ def cluster_and_merge(
     return merged, leftovers
 
 
-def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains=1.0) -> np.ndarray:
-    """Diagonal average of ``sum_m gains[m] * X v_m v_m^T`` over the columns of V.
+def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains, groups) -> np.ndarray:
+    """Diagonal average of ``sum_{m in g} gains[m] * X v_m v_m^T`` for each list g
+    of column indices in ``groups``, one row each.
 
-    Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], which is
-    sample k of the full convolution u * v; dividing by the anti-diagonal
-    counts finishes the average without forming any L x K matrix.
+    Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], sample k
+    of the full convolution u * v.  One projection X V serves every group; a
+    group's convolutions are summed as products of zero-padded DFTs, and the
+    anti-diagonal counts finish the average without forming any L x K matrix.
     """
-    U = (X.data @ V) * gains
-    sums = np.zeros(X.n_samples)
-    for m in range(V.shape[1]):
-        sums += np.convolve(U[:, m], V[:, m])
+    cols = [m for g in groups for m in g]
+    W = V[:, cols]
     n = X.n_samples
+    nfft = 1 << (n - 1).bit_length()  # >= n, the length of u * v, so nothing wraps
+    spec = np.fft.rfft((X.data @ W) * gains[cols], nfft, axis=0) * np.fft.rfft(W, nfft, axis=0)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    sums = np.fft.irfft(spec @ (owner[:, None] == np.arange(len(groups))), nfft, axis=0)[:n]
     k = np.arange(n)
     counts = np.minimum(np.minimum(k + 1, n - k), min(X.n_windows, X.embedding_dim))
-    return sums / counts
+    return sums.T / counts
 
 
 def reconstruct_mode(
@@ -251,7 +259,7 @@ def reconstruct_mode(
         raise ValueError("eigenvector must have unit Euclidean norm")
     if not 0.0 < g <= 1.0:
         raise ValueError("shrinkage weight must lie in (0, 1]")
-    return TimeSeries(_anti_diagonal_average(X, v[:, None], g), sample_rate)
+    return TimeSeries(_anti_diagonal_average(X, v[:, None], np.array([g]), [[0]])[0], sample_rate)
 
 
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
@@ -280,15 +288,15 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     D = diff_operator(config.diff_order, K)
     R = smoothing_matrix(D)
     M = augmented(R, config.alpha)
-    basis = solve_generalized(G, M, R, eigen_floor=config.eigen_floor)
+    basis = solve_generalized(G, M, D, eigen_floor=config.eigen_floor)
 
     clusters, _ = cluster_and_merge(basis, config)
 
     gains = 1.0 / (1.0 + basis.alpha * basis.mu) if config.shrinkage else np.ones(K)
+    groups = [list(c.member_indices) for c in clusters]
     entries = []
-    for c in clusters:
-        idx = list(c.member_indices)
-        series = x.with_samples(_anti_diagonal_average(X, basis.vectors[:, idx], gains[idx]))
+    for c, samples in zip(clusters, _anti_diagonal_average(X, basis.vectors, gains, groups)):
+        series = x.with_samples(samples)
         mu = max(float(c.vector @ R @ c.vector), 0.0)
         energy = float(c.vector @ G.matrix @ c.vector)
         peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
@@ -335,7 +343,7 @@ def _verify_completeness(x: TimeSeries, modes, residual, rel_tol: float = 1e-9) 
     scale = float(np.abs(x.samples).max())
     err = float(np.abs(total - x.samples).max())
     if err > rel_tol * max(scale, 1e-300):
-        raise AssertionError(
+        raise NumericalError(
             f"mode completeness violated: |sum(modes)+residual - x| = {err:.3e}"
         )
 
@@ -347,7 +355,7 @@ def _verify_variance_ratio(report, alpha: float) -> None:
     # square the gain, not the denominator: 1 + alpha*mu may be near overflow
     ratio = float(np.mean([(1.0 / (1.0 + alpha * e.mu)) ** 2 for e in report]))
     if ratio > 1.0 + 1e-12:
-        raise AssertionError(f"variance-ratio bound violated: {ratio}")
+        raise NumericalError(f"variance-ratio bound violated: {ratio}")
 
 
 def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
@@ -368,9 +376,10 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
 
     modes = []
     report = []
-    for i in range(r):
+    averaged = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
+    for i, samples in enumerate(averaged):
         v = Vt[i]
-        series = x.with_samples(_anti_diagonal_average(X, v[:, None]))
+        series = x.with_samples(samples)
         mu = float(np.sum(np.diff(v) ** 2))
         peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
         modes.append(series)

@@ -225,13 +225,14 @@ def periodogram(x: TimeSeries) -> Spectrum:
     Power per bin is ``|DFT|**2 / N**2`` with interior bins doubled, so the
     bin powers sum to the signal's mean squared sample (Parseval).  An
     on-grid sinusoid of amplitude A therefore shows a single bin of power
-    A**2 / 2.
+    A**2 / 2, and a bin whose power exceeds the float64 range reads inf.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
-    power = (spec.real**2 + spec.imag**2) / (n * n)
-    # double every bin that has a negative-frequency twin
-    power[1:] *= 2.0
+    with np.errstate(over="ignore"):
+        power = (spec.real**2 + spec.imag**2) / (n * n)
+        # double every bin that has a negative-frequency twin
+        power[1:] *= 2.0
     if n % 2 == 0:
         power[-1] /= 2.0  # Nyquist bin is its own twin
     freqs = np.fft.rfftfreq(n, d=1.0 / x.sample_rate)

@@ -125,18 +125,20 @@ def test_criterion_03_generalized_eigen_contracts(capsys):
         k = int(rng.integers(4, 65))
         w = rng.standard_normal((k + 3, k))
         G = GramMatrix(w.T @ w)
-        R = smoothing_matrix(diff_operator(1, k))
+        D = diff_operator(1, k)
+        R = smoothing_matrix(D)
         prev = None
         for alpha in alphas:
             M = augmented(R, alpha)
-            basis = solve_generalized(G, M, R)
+            basis = solve_generalized(G, M, D)
             V = basis.vectors
             MV = M.matrix @ V
             mnorm = np.sqrt(np.einsum("ki,ki->i", V, MV))
             cross = np.abs(V.T @ MV) / np.outer(mnorm, mnorm)
             np.fill_diagonal(cross, 0.0)
             worst_orth = max(worst_orth, float(cross.max()))
-            for gamma, mu, energy in zip(basis.gammas, basis.mu, basis.energy):
+            energies = np.einsum("ki,ki->i", V, G.matrix @ V)
+            for gamma, mu, energy in zip(basis.gammas, basis.mu, energies):
                 denom = max(abs(energy), 1e-300)
                 worst_rayleigh = max(
                     worst_rayleigh, abs(gamma * (1 + alpha * mu) - energy) / denom

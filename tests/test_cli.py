@@ -156,6 +156,34 @@ class TestDecompose:
         assert code in (0, 4)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["_verify_completeness", "_verify_variance_ratio"])
+    def test_failed_internal_check_exits_4(self, tone_file, tmp_path, capsys, monkeypatch,
+                                           check):
+        import rmd.modes as modes
+
+        real = getattr(modes, check)
+        # the real check, handed a bound that no decomposition meets
+        forced = {
+            "_verify_completeness": lambda x, ms, res: real(x, ms, res, rel_tol=-1.0),
+            "_verify_variance_ratio": lambda report, alpha: real(report, -0.5),
+        }[check]
+        monkeypatch.setattr(modes, check, forced)
+        code = run_cli("decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "violated" in err and "Traceback" not in err
+
+    def test_overflowing_amplitude_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        write_timeseries_csv(TimeSeries(1e200 * np.sin(np.arange(400) / 3.0), 50.0), path)
+        code = run_cli(
+            "decompose", str(path), "--sample-rate", "50", "-r", "1",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "1e+200" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "sidecar-1e400"])
     def test_non_finite_sample_rate_exits_2(self, tone_file, tmp_path, capsys, source):
         argv = ["decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o")]

@@ -10,6 +10,7 @@ from rmd.eigen import (
     EigenBasis,
     EigenSolverError,
     GramMatrix,
+    NumericalError,
     augmented,
     diff_operator,
     gram,
@@ -27,8 +28,8 @@ def random_psd(rng, k):
 
 def solve_for(G, alpha, order=1, K=None):
     K = K or G.dim
-    R = smoothing_matrix(diff_operator(order, K))
-    return solve_generalized(G, augmented(R, alpha), R)
+    D = diff_operator(order, K)
+    return solve_generalized(G, augmented(smoothing_matrix(D), alpha), D)
 
 
 class TestGram:
@@ -55,6 +56,24 @@ class TestGram:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), data=st.data())
+    def test_lag_recurrence_matches_dense_product(self, seed, data):
+        # K up to N - 1, so windows shorter than the embedding (L < K) are covered
+        n = data.draw(st.integers(12, 300))
+        K = data.draw(st.integers(2, n - 1))
+        x = TimeSeries(np.random.default_rng(seed).standard_normal(n), 1.0)
+        tm = build_trajectory_matrix(x, K)
+        G = gram(tm).matrix
+        dense = tm.data.T @ tm.data
+        assert np.abs(G - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(G, G.T)
+
+    def test_overflow_raises_numerical_error(self):
+        tm = build_trajectory_matrix(TimeSeries(1e200 * np.sin(np.arange(50.0)), 1.0), 10)
+        with pytest.raises(NumericalError, match="1e\\+200"):
+            gram(tm)
 
 
 class TestDiffOperator:
@@ -111,6 +130,12 @@ class TestSmoothingMatrix:
             R = smoothing_matrix(diff_operator(order, 12))
             assert np.min(np.linalg.eigvalsh(R)) >= -1e-12
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bit_identical_to_dense_product(self, order):
+        for K in [*range(order + 1, 41), 200, 682]:
+            D = diff_operator(order, K)
+            assert np.array_equal(smoothing_matrix(D), D.matrix.T @ D.matrix)
+
 
 class TestAugmented:
     def test_alpha_zero_is_exactly_identity(self):
@@ -149,8 +174,8 @@ class TestSolveGeneralized:
         # G = 2I with M = [[2,-1],[-1,2]]: M(1,1)^T = (1,1)^T so gamma = 2,
         # M(1,-1)^T = 3(1,-1)^T so gamma = 2/3
         G = GramMatrix(2.0 * np.eye(2))
-        R = smoothing_matrix(diff_operator(1, 2))
-        basis = solve_generalized(G, augmented(R, 1.0), R)
+        D = diff_operator(1, 2)
+        basis = solve_generalized(G, augmented(smoothing_matrix(D), 1.0), D)
         np.testing.assert_allclose(basis.gammas, [2.0, 2.0 / 3.0], rtol=1e-12)
         s = 1 / math.sqrt(2)
         got = np.abs(basis.vectors)
@@ -179,14 +204,28 @@ class TestSolveGeneralized:
         for alpha in (0.0, 0.1, 1.0, 10.0):
             G = random_psd(rng, 10)
             basis = solve_for(G, alpha=alpha)
-            for gamma, mu, energy in zip(basis.gammas, basis.mu, basis.energy):
+            V = basis.vectors
+            energies = np.einsum("ki,ki->i", V, G.matrix @ V)
+            for gamma, mu, energy in zip(basis.gammas, basis.mu, energies):
                 assert gamma * (1 + alpha * mu) == pytest.approx(energy, rel=1e-8)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_mu_matches_quadratic_form(self, rng, order):
+        # ||D v||^2 by differencing against the dense v^T R v
+        for K in (order + 1, 30, 200):
+            G = random_psd(rng, K)
+            D = diff_operator(order, K)
+            R = smoothing_matrix(D)
+            basis = solve_generalized(G, augmented(R, 1.5), D)
+            V = basis.vectors
+            np.testing.assert_allclose(basis.mu, np.einsum("ki,ki->i", V, R @ V),
+                                       rtol=0, atol=1e-12)
 
     def test_m_orthogonality(self, rng):
         G = random_psd(rng, 12)
-        R = smoothing_matrix(diff_operator(1, 12))
-        M = augmented(R, 2.5)
-        basis = solve_generalized(G, M, R)
+        D = diff_operator(1, 12)
+        M = augmented(smoothing_matrix(D), 2.5)
+        basis = solve_generalized(G, M, D)
         V = basis.vectors
         MV = M.matrix @ V
         mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
@@ -246,20 +285,19 @@ class TestSolveGeneralized:
     def test_cholesky_failure_surfaces(self):
         G = GramMatrix(np.eye(2))
         bad = AugmentedMatrix(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), alpha=1.0)
-        R = smoothing_matrix(diff_operator(1, 2))
         with pytest.raises(EigenSolverError):
-            solve_generalized(G, bad, R)
+            solve_generalized(G, bad, diff_operator(1, 2))
 
     def test_basis_copies_its_arrays(self, rng):
         basis = solve_for(random_psd(rng, 6), alpha=0.5)
         V = np.array(basis.vectors)
-        copy = EigenBasis(basis.gammas, V, basis.mu, basis.energy, basis.negligible, 0.5)
+        copy = EigenBasis(basis.gammas, V, basis.mu, basis.negligible, 0.5)
         V[0, 0] += 1.0
         assert copy.vectors[0, 0] == basis.vectors[0, 0]
         assert not copy.vectors.flags.writeable
 
     def test_dimension_mismatch(self):
         G = GramMatrix(np.eye(3))
-        R = smoothing_matrix(diff_operator(1, 2))
+        D = diff_operator(1, 2)
         with pytest.raises(ValueError):
-            solve_generalized(G, augmented(R, 1.0), R)
+            solve_generalized(G, augmented(smoothing_matrix(D), 1.0), D)

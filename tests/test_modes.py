@@ -39,8 +39,7 @@ def make_basis(vectors, gammas, alpha=0.0):
     k = len(gammas)
     return EigenBasis(
         gammas=np.asarray(gammas, dtype=float), vectors=V, mu=np.zeros(k),
-        energy=np.asarray(gammas, dtype=float), negligible=np.zeros(k, dtype=bool),
-        alpha=alpha,
+        negligible=np.zeros(k, dtype=bool), alpha=alpha,
     )
 
 
@@ -159,8 +158,8 @@ class TestClusterAndMerge:
     def test_quadrature_pair_of_tone_merges_with_spectral(self):
         tone, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)
         tm = build_trajectory_matrix(tone, 48)
-        R = smoothing_matrix(diff_operator(1, 48))
-        basis = solve_generalized(gram(tm), augmented(R, 0.3), R)
+        D = diff_operator(1, 48)
+        basis = solve_generalized(gram(tm), augmented(smoothing_matrix(D), 0.3), D)
         cfg = DecompositionConfig(n_modes=1, similarity="spectral")
         clusters, _ = cluster_and_merge(basis, cfg)
         assert len(clusters) == 1
@@ -175,7 +174,7 @@ class TestClusterAndMerge:
 
     def test_empty_basis_rejected(self):
         empty = EigenBasis(gammas=np.empty(0), vectors=np.empty((0, 0)), mu=np.empty(0),
-                           energy=np.empty(0), negligible=np.empty(0, dtype=bool), alpha=0.0)
+                           negligible=np.empty(0, dtype=bool), alpha=0.0)
         with pytest.raises(ValueError):
             cluster_and_merge(empty, DecompositionConfig(n_modes=1))
 
@@ -346,8 +345,8 @@ class TestRmdDecompose:
 
 def solve_basis(x, K, alpha, order):
     tm = build_trajectory_matrix(x, K)
-    R = smoothing_matrix(diff_operator(order, K))
-    return tm, solve_generalized(gram(tm), augmented(R, alpha), R)
+    D = diff_operator(order, K)
+    return tm, solve_generalized(gram(tm), augmented(smoothing_matrix(D), alpha), D)
 
 
 def naive_clusters(basis, cfg):
