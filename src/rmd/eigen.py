@@ -3,9 +3,11 @@
 The decomposition rests on the symmetric-definite generalized eigenproblem
 ``G v = gamma (I + alpha R) v`` where G is the trajectory Gram matrix and
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
-M = I + alpha R is positive definite, so one LAPACK call (sygvd through
-``scipy.linalg.eigh(G, M)``) returns the whole eigenbasis, held as arrays.
-It is the only O(K^3) step: G, R and each ||D v||^2 use the Hankel and stencil structure.
+M = I + alpha R is positive definite and banded, so it is factored in its band
+(M = U^T U) and the problem reduced to the standard one U^-T G U^-1 y = gamma y
+by banded triangular solves.  One symmetric eigensolve (LAPACK syevd) of that
+matrix returns the whole eigenbasis, held as arrays.  It is the only O(K^3)
+step: G, R, the reduction and each ||D v||^2 use the Hankel and stencil structure.
 """
 
 from __future__ import annotations
@@ -148,7 +150,10 @@ def gram(X: TrajectoryMatrix) -> GramMatrix:
     g = np.where(np.arange(K)[:, None] <= np.arange(K), U, U.T.copy())
     if not np.isfinite(g).all():
         raise NumericalError(f"Gram matrix overflows for signal magnitude {np.abs(x).max():.3g}")
-    return GramMatrix(g)
+    g.setflags(write=False)  # new and exactly symmetric: skip __post_init__'s copy and scan
+    G = object.__new__(GramMatrix)
+    object.__setattr__(G, "matrix", g)
+    return G
 
 
 def diff_operator(order: int, K: int) -> DifferenceOperator:
@@ -178,6 +183,14 @@ def augmented(R: np.ndarray, alpha: float) -> AugmentedMatrix:
 EIGEN_FLOOR_DEFAULT = 1e-12
 
 
+def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
+    """U^-1 B (``trans="N"``) or U^-T B (``"T"``) for U in upper band storage."""
+    X, info = sla.lapack.dtbtrs(U, B, trans=trans)
+    if info != 0:
+        raise EigenSolverError(f"banded triangular solve failed: LAPACK info {info}")
+    return X
+
+
 def solve_generalized(
     G: GramMatrix,
     M: AugmentedMatrix,
@@ -186,24 +199,37 @@ def solve_generalized(
 ) -> EigenBasis:
     """Solve ``G v = gamma M v`` for the full eigenbasis.
 
-    One call to ``scipy.linalg.eigh(G, M)`` (LAPACK sygvd) factors M, solves
-    the reduced symmetric problem and maps the eigenvectors back.  Each
-    vector is rescaled to unit Euclidean norm (reconstruction assumes
-    v^T v = 1); columns come back sorted by descending gamma, ties kept in
-    solver order.  A factorization or convergence failure raises
-    EigenSolverError.  D is the stencil of M's R = D^T D: each roughness
+    M must lie in the band of R = D^T D (ValueError otherwise).  Its band
+    Cholesky factor, M = U^T U, reduces the problem to the symmetric
+    C = U^-T G U^-1 by two banded triangular solves in O(K^2 order); one
+    syevd call solves C y = gamma y, and v = U^-1 y (Golub & Van Loan,
+    Matrix Computations, 8.7).  Each vector is rescaled to unit Euclidean
+    norm (reconstruction assumes v^T v = 1); columns come back sorted by
+    descending gamma, ties kept in solver order.  A factorization or
+    convergence failure raises EigenSolverError.  Each roughness
     mu = ||D v||^2 is taken by differencing v, in O(K^2).
 
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
     """
-    K = G.dim
+    K, k = G.dim, D.order
     if M.dim != K or D.dim != K:
         raise ValueError("G, M and D must share one dimension")
+    m = M.matrix
+    if np.count_nonzero(m) != sum(np.count_nonzero(m.diagonal(d)) for d in range(-k, k + 1)):
+        raise ValueError(f"M has entries outside the band of an order-{k} stencil")
+    band = np.zeros((k + 1, K))  # LAPACK upper band storage: band[k - d, d:] = diagonal d
+    for d in range(k + 1):
+        band[k - d, d:] = m.diagonal(d)
     try:
-        w, V = sla.eigh(G.matrix, M.matrix)
+        U = sla.cholesky_banded(band)
+        # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
+        # C = U^-T (U^-T G)^T = U^-T G U^-1
+        C = _band_solve(U, _band_solve(U, G.matrix.T, "T").T, "T")
+        w, Y = sla.eigh(C, driver="evd", overwrite_a=True)
     except sla.LinAlgError as exc:
         raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
+    V = _band_solve(U, Y)
 
     order = np.argsort(-w, kind="stable")
     w = w[order]

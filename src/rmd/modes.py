@@ -272,18 +272,24 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     merged mean vector stays the cluster's reported representative.  The
     residual is the input minus the modes, so modes + residual reproduce
     the input.
+
+    The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1); modes are
+    scaled back by 2**s, gamma and energy by 4**s.  That is exact, so any finite
+    x decomposes scale-equivariantly (a gamma past the float64 range reads inf).
     """
     n = len(x)
     if n < 12:
         raise SignalTooShortError(f"need at least 12 samples to decompose, got {n}")
+    shift = math.frexp(float(np.abs(x.samples).max()))[1]
+    xs = x.with_samples(np.ldexp(x.samples, -shift))
     if config.K_override is not None:
         K = config.K_override
         if not 2 <= K <= n - 1:
             raise ValueError(f"K_override={K} out of range for N={n}")
     else:
-        K = select_embedding_dimension(x)
+        K = select_embedding_dimension(xs)
 
-    X = build_trajectory_matrix(x, K)
+    X = build_trajectory_matrix(xs, K)
     G = gram(X)
     D = diff_operator(config.diff_order, K)
     R = smoothing_matrix(D)
@@ -296,14 +302,17 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     groups = [list(c.member_indices) for c in clusters]
     entries = []
     for c, samples in zip(clusters, _anti_diagonal_average(X, basis.vectors, gains, groups)):
-        series = x.with_samples(samples)
         mu = max(float(c.vector @ R @ c.vector), 0.0)
         energy = float(c.vector @ G.matrix @ c.vector)
-        peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
+        scaled = xs.with_samples(samples)
+        peak = dominant_frequency(periodogram(scaled)) if np.any(samples) else None
+        with np.errstate(over="ignore"):  # a value beyond the float64 range reads inf
+            gamma, energy = np.ldexp([c.gamma_total, energy], 2 * shift)
+            series = x.with_samples(np.ldexp(samples, shift))
         entries.append((c.gamma_total, series, ModeReport(
-            gamma=c.gamma_total,
+            gamma=float(gamma),
             mu=mu,
-            energy=energy,
+            energy=float(energy),
             members=len(c.member_indices),
             peak_frequency_hz=peak,
         )))

@@ -173,16 +173,22 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "violated" in err and "Traceback" not in err
 
-    def test_overflowing_amplitude_exits_4(self, tmp_path, capsys):
-        path = tmp_path / "huge.csv"
-        write_timeseries_csv(TimeSeries(1e200 * np.sin(np.arange(400) / 3.0), 50.0), path)
-        code = run_cli(
-            "decompose", str(path), "--sample-rate", "50", "-r", "1",
-            "--out", str(tmp_path / "o"),
-        )
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "1e+200" in err and "Traceback" not in err
+    def test_huge_amplitude_decomposes(self, tmp_path, capsys):
+        # decomposition is scale-equivariant: a 1e200 tone peaks where the unit tone does
+        tone = np.sin(np.arange(400) / 3.0)
+        peaks = {}
+        for name, scale in (("unit", 1.0), ("huge", 1e200)):
+            path = tmp_path / f"{name}.csv"
+            write_timeseries_csv(TimeSeries(scale * tone, 50.0), path)
+            code = run_cli(
+                "decompose", str(path), "--sample-rate", "50", "-r", "1",
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+            doc = json.loads((tmp_path / name / "decomposition.json").read_text())
+            peaks[name] = [m["peak_frequency_hz"] for m in doc["modes"]]
+        assert "Traceback" not in capsys.readouterr().err
+        assert peaks["huge"] == peaks["unit"]
 
     @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "sidecar-1e400"])
     def test_non_finite_sample_rate_exits_2(self, tone_file, tmp_path, capsys, source):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,10 @@ class TestGram:
         dense = tm.data.T @ tm.data
         assert np.abs(G - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(G, G.T)
+
+    def test_result_is_frozen(self, rng):
+        tm = build_trajectory_matrix(TimeSeries(rng.standard_normal(40), 1.0), 9)
+        assert not gram(tm).matrix.flags.writeable
 
     def test_overflow_raises_numerical_error(self):
         tm = build_trajectory_matrix(TimeSeries(1e200 * np.sin(np.arange(50.0)), 1.0), 10)
@@ -281,6 +286,35 @@ class TestSolveGeneralized:
         for gain, mu in zip(gains, basis.mu):
             assert gain == pytest.approx(1.0 / (1.0 + 2.0 * mu), rel=1e-12)
             assert 0.0 < gain <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), order=st.sampled_from([1, 2]), data=st.data())
+    def test_banded_reduction_matches_dense_oracle(self, seed, order, data):
+        # the dense sygvd solve stays here only as an oracle
+        K = data.draw(st.integers(order + 1, 80))
+        alpha = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3, exclude_min=True)))
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((int(rng.integers(1, K + 6)), K))  # rank-deficient too
+        G = GramMatrix(w.T @ w)
+        D = diff_operator(order, K)
+        M = augmented(smoothing_matrix(D), alpha)
+        basis = solve_generalized(G, M, D)
+        dense = sla.eigh(G.matrix, M.matrix, eigvals_only=True)[::-1]
+        assert np.abs(basis.gammas - dense).max() <= 1e-10 * np.abs(dense).max()
+        V = basis.vectors
+        MV = M.matrix @ V
+        mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
+        cross = np.abs(V.T @ MV) / np.outer(mnorms, mnorms)
+        np.fill_diagonal(cross, 0.0)
+        assert cross.max() <= 1e-8
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_entry_outside_the_band_rejected(self, order):
+        D = diff_operator(order, 6)
+        m = augmented(smoothing_matrix(D), 1.0).matrix.copy()
+        m[0, order + 1] = m[order + 1, 0] = 0.1  # symmetric, still positive definite
+        with pytest.raises(ValueError, match="band"):
+            solve_generalized(GramMatrix(np.eye(6)), AugmentedMatrix(m, 1.0), D)
 
     def test_cholesky_failure_surfaces(self):
         G = GramMatrix(np.eye(2))

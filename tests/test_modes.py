@@ -332,6 +332,54 @@ class TestRmdDecompose:
         for a, b in zip(ms.modes, unshrunk.modes):
             assert np.linalg.norm(a.samples) <= np.linalg.norm(b.samples) + 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), s=st.integers(-600, 1000), order=st.sampled_from([1, 2]),
+           shrinkage=st.booleans(), heuristic_k=st.booleans())
+    def test_power_of_two_scaling_is_exact(self, seed, s, order, shrinkage, heuristic_k):
+        # up to 2**1000 the samples stay finite while their squares do not
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 80))
+        x = TimeSeries(rng.standard_normal(n), 10.0)
+        cfg = DecompositionConfig(
+            n_modes=int(rng.integers(1, 6)), merge_threshold=float(rng.uniform(0.3, 1.0)),
+            alpha=float(rng.uniform(0.0, 5.0)), diff_order=order, shrinkage=shrinkage,
+            K_override=None if heuristic_k else int(rng.integers(order + 1, n)),
+        )
+        a = rmd_decompose(x, cfg)
+        b = rmd_decompose(x.with_samples(np.ldexp(x.samples, s)), cfg)
+        assert b.embedding_dim == a.embedding_dim and len(b.modes) == len(a.modes)
+        for ma, mb in zip(a.modes, b.modes):
+            assert np.array_equal(mb.samples, np.ldexp(ma.samples, s))
+        assert np.array_equal(b.residual.samples, np.ldexp(a.residual.samples, s))
+        for ra, rb in zip(a.report, b.report):
+            with np.errstate(over="ignore"):  # gamma * 4**s may exceed the float64 range
+                assert [rb.gamma, rb.energy] == np.ldexp([ra.gamma, ra.energy], 2 * s).tolist()
+            assert (rb.mu, rb.members, rb.peak_frequency_hz) == (
+                ra.mu, ra.members, ra.peak_frequency_hz)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), c=st.floats(1e-150, 1e250), sign=st.sampled_from([-1, 1]),
+           order=st.sampled_from([1, 2]))
+    def test_any_finite_scale(self, seed, c, sign, order):
+        # two separated tones over weak noise, so no merge decision sits near the threshold
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(120, 240))
+        t = np.arange(n)
+        x = TimeSeries(3.0 * np.sin(0.3 * t + rng.uniform(0, 6)) + np.sin(1.4 * t)
+                       + 0.05 * rng.standard_normal(n), 10.0)
+        cfg = DecompositionConfig(n_modes=2, alpha=float(rng.uniform(0.0, 2.0)),
+                                  diff_order=order, K_override=int(rng.integers(12, 30)))
+        c *= sign
+        a = rmd_decompose(x, cfg)
+        b = rmd_decompose(x.with_samples(c * x.samples), cfg)
+        tol = 1e-9 * abs(c) * np.abs(x.samples).max()
+        assert len(b.modes) == len(a.modes) == 2
+        for ma, mb in zip([*a.modes, a.residual], [*b.modes, b.residual]):
+            assert np.abs(mb.samples - c * ma.samples).max() <= tol
+        for ra, rb in zip(a.report, b.report):
+            assert rb.gamma == pytest.approx(c * (c * ra.gamma), rel=1e-9)  # inf past 1e308
+            assert rb.peak_frequency_hz == ra.peak_frequency_hz
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             rmd_decompose(TimeSeries(np.arange(8, dtype=float), 1.0),
