@@ -12,12 +12,7 @@ from .bench import (
     ComponentScore,
     ExperimentReport,
     ExperimentSpec,
-    RunConfig,
-    load_signal_csv,
     run_experiment,
-    run_file_experiment,
-    run_nonlinear_experiment,
-    run_sine_snr_experiment,
     write_report,
 )
 from .embedding import (
@@ -28,8 +23,6 @@ from .embedding import (
     select_embedding_dimension,
 )
 from .eigen import (
-    AugmentedMatrix,
-    DifferenceOperator,
     EigenBasis,
     EigenSolverError,
     GramMatrix,
@@ -71,12 +64,10 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedMatrix",
     "CellResult",
     "ComponentScore",
     "CsvFormatError",
     "DecompositionConfig",
-    "DifferenceOperator",
     "EigenBasis",
     "EigenSolverError",
     "ExperimentReport",
@@ -87,7 +78,6 @@ __all__ = [
     "ModeReport",
     "ModeSet",
     "NumericalError",
-    "RunConfig",
     "SignalTooShortError",
     "SineComponent",
     "Spectrum",
@@ -103,15 +93,11 @@ __all__ = [
     "gen_am_mixture",
     "gen_sinusoid_mixture",
     "gram",
-    "load_signal_csv",
     "periodogram",
     "read_timeseries_csv",
     "reconstruct_mode",
     "rmd_decompose",
     "run_experiment",
-    "run_file_experiment",
-    "run_nonlinear_experiment",
-    "run_sine_snr_experiment",
     "score_mode",
     "select_embedding_dimension",
     "similarity",

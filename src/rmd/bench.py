@@ -1,5 +1,5 @@
 """Experiment harness: synthetic SNR sweeps, the modulated-signal experiment,
-file ingestion, mode-to-truth scoring and report emission.
+file runs, mode-to-truth scoring and report emission.
 
 Sweep cells run independently; a failed decomposition is recorded in its
 cell, never aborts the sweep.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +36,27 @@ RESPIRATION_BAND = (0.1, 0.5)
 HEARTBEAT_BAND = (0.8, 2.0)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One decomposition configuration of the sweep grid."""
+# the spec keys of one configuration, in the order they are written, and the
+# DecompositionConfig field each one sets; alpha is required
+SPEC_CONFIG_KEYS = {
+    "alpha": "alpha",
+    "diff_order": "diff_order",
+    "theta": "merge_threshold",
+    "n_modes": "n_modes",
+    "measure": "similarity",
+    "shrinkage": "shrinkage",
+}
 
-    alpha: float
-    diff_order: int = 1
-    theta: float = 0.85
-    n_modes: int = 3
-    measure: str = "spectral"
-    shrinkage: bool = False
+
+def _config_from_dict(doc: dict) -> DecompositionConfig:
+    if not isinstance(doc, dict):
+        raise TypeError(f"a config must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(SPEC_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; allowed: {list(SPEC_CONFIG_KEYS)}")
+    if "alpha" not in doc:
+        raise ValueError("every config needs 'alpha'")
+    return DecompositionConfig(**{"n_modes": 3, **{SPEC_CONFIG_KEYS[k]: v for k, v in doc.items()}})
 
 
 @dataclass(frozen=True)
@@ -54,13 +65,14 @@ class ExperimentSpec:
 
     Synthetic generators draw a fresh noise realization per (snr, seed) and
     decompose it once per grid configuration.  ``file`` runs skip noise
-    injection and scoring and simply decompose the ingested signal.
+    injection and scoring and simply decompose the ingested signal.  Every
+    configuration is decomposed with ``embedding_dim`` as its ``K_override``.
     """
 
     generator: str
     snr_db: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
-    configs: tuple[RunConfig, ...] = ()
+    configs: tuple[DecompositionConfig, ...] = ()
     sample_rate_hz: float = 200.0
     duration_s: float = 10.0
     embedding_dim: int | None = 200
@@ -105,13 +117,15 @@ class ExperimentSpec:
     def from_dict(doc: dict) -> "ExperimentSpec":
         """Build a spec from parsed JSON.
 
-        Configurations may be given explicitly under ``configs`` or as a
-        cross-product grid of ``alphas`` x ``diff_orders`` with shared
-        ``theta`` / ``n_modes`` / ``measure``.
+        Configurations may be given explicitly under ``configs``, each a dict
+        of the ``SPEC_CONFIG_KEYS``, or as a cross-product grid of ``alphas`` x
+        ``diff_orders`` with shared ``theta`` / ``n_modes`` / ``measure`` /
+        ``shrinkage``.  An unknown key or an out-of-range value raises
+        ValueError (or TypeError, for a value of the wrong type).
         """
         doc = dict(doc)
         if "configs" in doc:
-            configs = tuple(RunConfig(**c) for c in doc.pop("configs"))
+            configs = tuple(_config_from_dict(c) for c in doc.pop("configs"))
             for key in ("alphas", "diff_orders", "theta", "n_modes", "measure"):
                 doc.pop(key, None)
         else:
@@ -124,8 +138,9 @@ class ExperimentSpec:
             measure = doc.pop("measure", "spectral")
             shrinkage = doc.pop("shrinkage", False)
             configs = tuple(
-                RunConfig(alpha=float(a), diff_order=int(o), theta=float(theta),
-                          n_modes=int(n_modes), measure=measure, shrinkage=bool(shrinkage))
+                DecompositionConfig(alpha=float(a), diff_order=int(o),
+                                    merge_threshold=float(theta), n_modes=int(n_modes),
+                                    similarity=measure, shrinkage=bool(shrinkage))
                 for a in alphas
                 for o in orders
             )
@@ -133,7 +148,9 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["configs"] = [asdict(c) for c in self.configs]
+        doc["configs"] = [
+            {key: getattr(c, name) for key, name in SPEC_CONFIG_KEYS.items()} for c in self.configs
+        ]
         return doc
 
 
@@ -246,36 +263,6 @@ class ExperimentReport:
             spec=spec, cells=tuple(cells), schema_version=doc["schema_version"]
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExperimentReport):
-            return NotImplemented
-        return (
-            self.schema_version == other.schema_version
-            and self.spec == other.spec
-            and self.cells == other.cells
-        )
-
-
-def load_signal_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
-    """Ingest a signal CSV (see `rmd.signals` for the format contract).
-
-    Parse failures carry the offending line number; non-finite values and
-    empty files are rejected.
-    """
-    return read_timeseries_csv(path, sample_rate_hz)
-
-
-def _decomposition_config(spec: ExperimentSpec, rc: RunConfig) -> DecompositionConfig:
-    return DecompositionConfig(
-        n_modes=rc.n_modes,
-        merge_threshold=rc.theta,
-        alpha=rc.alpha,
-        diff_order=rc.diff_order,
-        similarity=rc.measure,
-        K_override=spec.embedding_dim,
-        shrinkage=rc.shrinkage,
-    )
-
 
 def match_modes_to_truths(
     ms: ModeSet, truths: list[TimeSeries]
@@ -351,65 +338,6 @@ def _score_cell(
     return mode_peaks, tuple(scores)
 
 
-def _run_synthetic(
-    spec: ExperimentSpec,
-    clean: TimeSeries,
-    truths: list[TimeSeries],
-    am_truth_index: int | None = None,
-) -> ExperimentReport:
-    cells = []
-    for snr in spec.snr_db:
-        for seed in spec.seeds:
-            noisy, _ = add_noise_at_snr(clean, snr, seed)
-            for rc in spec.configs:
-                t0 = time.perf_counter()
-                try:
-                    ms = rmd_decompose(noisy, _decomposition_config(spec, rc))
-                    peaks, scores = _score_cell(spec, ms, truths, am_truth_index)
-                    cells.append(CellResult(
-                        snr_db=snr, seed=seed, alpha=rc.alpha,
-                        diff_order=rc.diff_order, theta=rc.theta,
-                        n_modes=rc.n_modes, measure=rc.measure,
-                        success=True, error=None,
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                        mode_peaks_hz=peaks, scores=scores,
-                    ))
-                except Exception as exc:  # cell failures are data
-                    cells.append(CellResult(
-                        snr_db=snr, seed=seed, alpha=rc.alpha,
-                        diff_order=rc.diff_order, theta=rc.theta,
-                        n_modes=rc.n_modes, measure=rc.measure,
-                        success=False, error=f"{type(exc).__name__}: {exc}",
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                    ))
-    return ExperimentReport(spec=spec, cells=tuple(cells))
-
-
-def run_sine_snr_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """SNR sweep over a mixture of pure sinusoids."""
-    if spec.generator != "sine-mixture":
-        raise ValueError("spec.generator must be 'sine-mixture'")
-    phases = spec.phases or (0.0,) * len(spec.frequencies_hz)
-    components = [
-        SineComponent(f, a, p)
-        for f, a, p in zip(spec.frequencies_hz, spec.amplitudes, phases)
-    ]
-    clean, truths = gen_sinusoid_mixture(components, spec.sample_rate_hz, spec.duration_s)
-    return _run_synthetic(spec, clean, truths)
-
-
-def run_nonlinear_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Amplitude-modulated mixture sweep; the AM component additionally gets
-    a sideband-presence check."""
-    if spec.generator != "am-mixture":
-        raise ValueError("spec.generator must be 'am-mixture'")
-    clean, truths = gen_am_mixture(
-        spec.f1_hz, spec.f2_hz, spec.f3_hz, spec.f_mod_hz,
-        spec.sample_rate_hz, spec.duration_s,
-    )
-    return _run_synthetic(spec, clean, truths, am_truth_index=0)
-
-
 def _band_label(peak: float | None) -> str:
     if peak is None:
         return ""
@@ -420,43 +348,61 @@ def _band_label(peak: float | None) -> str:
     return ""
 
 
-def run_file_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Decompose an ingested signal file; no ground truth, so cells carry
-    the per-mode peaks and physiological band annotations only."""
-    if spec.generator != "file":
-        raise ValueError("spec.generator must be 'file'")
-    x = load_signal_csv(spec.input_path, spec.sample_rate_hz)
-    cells = []
-    for rc in spec.configs:
-        t0 = time.perf_counter()
-        try:
-            ms = rmd_decompose(x, _decomposition_config(spec, rc))
-            peaks = tuple(e.peak_frequency_hz for e in ms.report)
-            cells.append(CellResult(
-                snr_db=None, seed=None, alpha=rc.alpha, diff_order=rc.diff_order,
-                theta=rc.theta, n_modes=rc.n_modes, measure=rc.measure,
-                success=True, error=None,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-                mode_peaks_hz=peaks,
-                band_labels=tuple(_band_label(p) for p in peaks),
-            ))
-        except Exception as exc:
-            cells.append(CellResult(
-                snr_db=None, seed=None, alpha=rc.alpha, diff_order=rc.diff_order,
-                theta=rc.theta, n_modes=rc.n_modes, measure=rc.measure,
-                success=False, error=f"{type(exc).__name__}: {exc}",
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            ))
-    return ExperimentReport(spec=spec, cells=tuple(cells))
+def _source(spec: ExperimentSpec) -> tuple[TimeSeries, list[TimeSeries] | None]:
+    """The signal a spec decomposes and its ground-truth components (None for files)."""
+    if spec.generator == "sine-mixture":
+        phases = spec.phases or (0.0,) * len(spec.frequencies_hz)
+        components = [
+            SineComponent(f, a, p)
+            for f, a, p in zip(spec.frequencies_hz, spec.amplitudes, phases)
+        ]
+        return gen_sinusoid_mixture(components, spec.sample_rate_hz, spec.duration_s)
+    if spec.generator == "am-mixture":
+        return gen_am_mixture(
+            spec.f1_hz, spec.f2_hz, spec.f3_hz, spec.f_mod_hz,
+            spec.sample_rate_hz, spec.duration_s,
+        )
+    return read_timeseries_csv(spec.input_path, spec.sample_rate_hz), None
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    runner = {
-        "sine-mixture": run_sine_snr_experiment,
-        "am-mixture": run_nonlinear_experiment,
-        "file": run_file_experiment,
-    }[spec.generator]
-    return runner(spec)
+    """Decompose every (snr, seed, configuration) cell of a spec.
+
+    Synthetic generators draw one noise realization per (snr, seed) and score
+    the modes against the ground truth; the AM component additionally gets a
+    sideband-presence check.  A file is decomposed as read, once per
+    configuration, and its cells carry the per-mode peaks and physiological
+    band annotations only.  A failed decomposition is recorded in its cell.
+    """
+    clean, truths = _source(spec)
+    am_truth_index = 0 if spec.generator == "am-mixture" else None
+    draws = [(None, None)] if truths is None else [
+        (snr, seed) for snr in spec.snr_db for seed in spec.seeds
+    ]
+    cells = []
+    for snr, seed in draws:
+        x = clean if snr is None else add_noise_at_snr(clean, snr, seed)[0]
+        for config in spec.configs:
+            t0 = time.perf_counter()
+            try:
+                ms = rmd_decompose(x, replace(config, K_override=spec.embedding_dim))
+                if truths is None:
+                    peaks = tuple(e.peak_frequency_hz for e in ms.report)
+                    outcome = dict(mode_peaks_hz=peaks,
+                                   band_labels=tuple(_band_label(p) for p in peaks))
+                else:
+                    peaks, scores = _score_cell(spec, ms, truths, am_truth_index)
+                    outcome = dict(mode_peaks_hz=peaks, scores=scores)
+                outcome.update(success=True, error=None)
+            except Exception as exc:  # cell failures are data
+                outcome = dict(success=False, error=f"{type(exc).__name__}: {exc}")
+            cells.append(CellResult(
+                snr_db=snr, seed=seed, alpha=config.alpha, diff_order=config.diff_order,
+                theta=config.merge_threshold, n_modes=config.n_modes,
+                measure=config.similarity, wall_ms=(time.perf_counter() - t0) * 1e3,
+                **outcome,
+            ))
+    return ExperimentReport(spec=spec, cells=tuple(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .signals import (
     gen_sinusoid_mixture,
     periodogram,
     read_sample_rate_sidecar,
+    read_timeseries_csv,
     write_sample_rate_sidecar,
     write_spectrum_csv,
     write_timeseries_csv,
@@ -141,7 +142,7 @@ def _resolve_sample_rate(flag_value: float | None, input_path: str) -> float:
 def _load_series(path: str, sample_rate: float | None):
     rate = _resolve_sample_rate(sample_rate, path)
     try:
-        return bench_mod.load_signal_csv(path, rate)
+        return read_timeseries_csv(path, rate)
     except FileNotFoundError:
         raise _CliError(EXIT_IO, f"input file not found: {path}")
     except OSError as exc:
@@ -151,13 +152,7 @@ def _load_series(path: str, sample_rate: float | None):
 
 
 def _cmd_decompose(args) -> int:
-    if args.alpha < 0:
-        raise _CliError(EXIT_USAGE, "--alpha must be >= 0")
-    if args.modes < 1:
-        raise _CliError(EXIT_USAGE, "--modes must be >= 1")
-    if not 0 < args.theta <= 1.01:
-        raise _CliError(EXIT_USAGE, "--theta must lie in (0, 1.01]")
-    x = _load_series(args.input, args.sample_rate)
+    # the config first, so a bad flag exits 2 ahead of a missing file's 3
     try:
         config = DecompositionConfig(
             n_modes=args.modes,
@@ -170,6 +165,7 @@ def _cmd_decompose(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
+    x = _load_series(args.input, args.sample_rate)
     try:
         ms = rmd_decompose(x, config)
     except (SignalTooShortError, EigenSolverError, NumericalError, FloatingPointError) as exc:
@@ -240,13 +236,13 @@ def _cmd_bench(args) -> int:
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {args.spec}: {exc}")
     try:
-        spec = bench_mod.ExperimentSpec.from_dict(json.loads(text))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise _CliError(EXIT_USAGE, f"bad experiment spec: {exc}")
-    try:
-        report = bench_mod.run_experiment(spec)
-    except (OSError, CsvFormatError) as exc:
+        report = bench_mod.run_experiment(
+            bench_mod.ExperimentSpec.from_dict(json.loads(text))
+        )
+    except (OSError, CsvFormatError) as exc:  # a file spec's input
         raise _CliError(EXIT_IO, f"cannot run spec: {exc}")
+    except (ValueError, TypeError, OverflowError) as exc:  # also a signal it cannot make
+        raise _CliError(EXIT_USAGE, f"bad experiment spec: {exc}")
     try:
         bench_mod.write_report(report, args.out)
     except OSError as exc:

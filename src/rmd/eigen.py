@@ -31,28 +31,6 @@ class NumericalError(ArithmeticError):
 
 
 @dataclass(frozen=True, eq=False)
-class DifferenceOperator:
-    """First- or second-order finite-difference stencil matrix.
-
-    Order 1 rows are [-1, 1] shifts, order 2 rows are [1, -2, 1]; every row
-    sums to zero, so constants (and affine vectors, for order 2) are
-    annihilated.
-    """
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric positive semi-definite K x K Gram matrix X^T X."""
 
@@ -75,27 +53,6 @@ class GramMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedMatrix:
-    """M = I + alpha * R: the symmetric positive-definite right-hand matrix.
-
-    R is positive semi-definite, so the smallest eigenvalue of M is >= 1
-    for every alpha >= 0.
-    """
-
-    matrix: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class EigenBasis:
     """All K generalized eigenpairs as arrays, sorted by descending eigenvalue.
 
@@ -103,7 +60,6 @@ class EigenBasis:
     vectors     eigenvectors as columns, each of unit Euclidean norm, (K, K)
     mu          roughness v^T R v = ||D v||^2; v^T G v = gamma (1 + alpha mu), (K,)
     negligible  True where gamma falls below the numerical floor, shape (K,)
-    alpha       the regularization weight of M
 
     The optional reconstruction gain of column i is 1 / (1 + alpha * mu[i]).
     """
@@ -112,7 +68,6 @@ class EigenBasis:
     vectors: np.ndarray
     mu: np.ndarray
     negligible: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         for name in ("gammas", "vectors", "mu", "negligible"):
@@ -156,28 +111,49 @@ def gram(X: TrajectoryMatrix) -> GramMatrix:
     return G
 
 
-def diff_operator(order: int, K: int) -> DifferenceOperator:
-    """The (K - order) x K finite-difference stencil matrix."""
+def diff_operator(order: int, K: int) -> np.ndarray:
+    """The read-only (K - order) x K finite-difference stencil matrix D.
+
+    Order 1 rows are [-1, 1] shifts, order 2 rows are [1, -2, 1]; every row
+    sums to zero, so constants (and affine vectors, for order 2) are
+    annihilated.  The order is D's column count minus its row count.
+    """
     if order not in (1, 2):
         raise ValueError("difference order must be 1 or 2")
     if K < order + 1:
         raise ValueError(f"need K >= {order + 1} for order {order}, got K={K}")
-    return DifferenceOperator(order=order, matrix=np.diff(np.eye(K), n=order, axis=0))
+    D = np.diff(np.eye(K), n=order, axis=0)
+    D.setflags(write=False)
+    return D
 
 
-def smoothing_matrix(D: DifferenceOperator) -> np.ndarray:
+def _order(D: np.ndarray) -> int:
+    return D.shape[1] - D.shape[0]
+
+
+def smoothing_matrix(D: np.ndarray) -> np.ndarray:
     """R = D^T D, the PSD roughness form: D's columns differenced by the adjoint
     of D, (-1)^order * diff(pad(.)), in O(K^2) and bit-identical to the product."""
-    k = D.order
-    return (-1) ** k * np.diff(np.pad(D.matrix, ((k, k), (0, 0))), n=k, axis=0)
+    k = _order(D)
+    return (-1) ** k * np.diff(np.pad(D, ((k, k), (0, 0))), n=k, axis=0)
 
 
-def augmented(R: np.ndarray, alpha: float) -> AugmentedMatrix:
-    """M = I + alpha * R.  alpha = 0 yields the identity exactly."""
+def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
+    """The read-only M = I + alpha * R.  alpha = 0 yields the identity exactly.
+
+    R is positive semi-definite, so the smallest eigenvalue of M is >= 1
+    for every alpha >= 0.  An alpha so large that M overflows raises
+    NumericalError.
+    """
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be finite and >= 0")
     R = np.asarray(R, dtype=np.float64)  # finite, so 0 * R adds only zeros
-    return AugmentedMatrix(matrix=np.eye(R.shape[0]) + alpha * R, alpha=alpha)
+    with np.errstate(over="ignore"):
+        M = np.eye(R.shape[0]) + alpha * R
+    if not np.isfinite(M).all():
+        raise NumericalError(f"M = I + alpha R overflows for alpha={alpha:.3g}")
+    M.setflags(write=False)
+    return M
 
 
 EIGEN_FLOOR_DEFAULT = 1e-12
@@ -193,8 +169,8 @@ def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
 
 def solve_generalized(
     G: GramMatrix,
-    M: AugmentedMatrix,
-    D: DifferenceOperator,
+    M: np.ndarray,
+    D: np.ndarray,
     eigen_floor: float = EIGEN_FLOOR_DEFAULT,
 ) -> EigenBasis:
     """Solve ``G v = gamma M v`` for the full eigenbasis.
@@ -212,10 +188,10 @@ def solve_generalized(
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
     """
-    K, k = G.dim, D.order
-    if M.dim != K or D.dim != K:
+    K, k = G.dim, _order(D)
+    m = np.asarray(M, dtype=np.float64)
+    if m.shape != (K, K) or D.shape[1] != K:
         raise ValueError("G, M and D must share one dimension")
-    m = M.matrix
     if np.count_nonzero(m) != sum(np.count_nonzero(m.diagonal(d)) for d in range(-k, k + 1)):
         raise ValueError(f"M has entries outside the band of an order-{k} stencil")
     band = np.zeros((k + 1, K))  # LAPACK upper band storage: band[k - d, d:] = diagonal d
@@ -241,7 +217,6 @@ def solve_generalized(
     return EigenBasis(
         gammas=w,
         vectors=V,
-        mu=np.sum(np.diff(V, n=D.order, axis=0) ** 2, axis=0),
+        mu=np.sum(np.diff(V, n=k, axis=0) ** 2, axis=0),
         negligible=w < floor,
-        alpha=M.alpha,
     )

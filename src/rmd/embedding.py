@@ -27,7 +27,6 @@ class TrajectoryMatrix:
     data: np.ndarray
     n_samples: int
     embedding_dim: int
-    delay: int = 1
 
     def __post_init__(self):
         d = np.array(self.data, dtype=np.float64)
@@ -38,8 +37,6 @@ class TrajectoryMatrix:
             raise ValueError("shape inconsistent with n_samples/embedding_dim")
         if L < 2 or K < 2:
             raise ValueError("trajectory matrix needs L >= 2 and K >= 2")
-        if self.delay != 1:
-            raise ValueError("only delay 1 is supported")
 
     @property
     def n_windows(self) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +262,40 @@ def reconstruct_mode(
     return TimeSeries(_anti_diagonal_average(X, v[:, None], np.array([g]), [[0]])[0], sample_rate)
 
 
+def _unit_scale(x: TimeSeries) -> tuple[TimeSeries, int]:
+    """x / 2**s with max|x| / 2**s in [0.5, 1), and s."""
+    shift = math.frexp(float(np.abs(x.samples).max()))[1]
+    return x.with_samples(np.ldexp(x.samples, -shift)), shift
+
+
+def _scale_back(
+    x: TimeSeries, xs: TimeSeries, shift: int, parts, stats,
+) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
+    """Modes, residual and reports of x from mode samples found on xs = x / 2**shift.
+
+    ``stats`` holds one (gamma, mu, energy, members) per part.  The residual
+    xs - sum(parts) is taken and checked on xs, where nothing overflows, and
+    each peak is read there.  Samples then scale back by 2**shift, gamma and
+    energy by 4**shift; power-of-two scaling is exact, so the decomposition is
+    scale-equivariant.  A gamma or energy past the float64 range reads inf; a
+    sample past it raises NumericalError.
+    """
+    residual = xs.samples - sum(parts)
+    _verify_completeness(xs.samples, parts, residual)
+    report = []
+    for samples, (gamma, mu, energy, members) in zip(parts, stats):
+        peak = dominant_frequency(periodogram(xs.with_samples(samples))) if np.any(samples) else None
+        with np.errstate(over="ignore"):
+            gamma, energy = np.ldexp([gamma, energy], 2 * shift)
+        report.append(ModeReport(gamma=float(gamma), mu=mu, energy=float(energy),
+                                 members=members, peak_frequency_hz=peak))
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.vstack([*parts, residual]), shift)
+    if not np.isfinite(out).all():
+        raise NumericalError("a mode or the residual exceeds the float64 range")
+    return tuple(x.with_samples(m) for m in out[:-1]), x.with_samples(out[-1]), tuple(report)
+
+
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     """Run the full bandwidth-regularized decomposition pipeline.
 
@@ -273,15 +307,13 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     residual is the input minus the modes, so modes + residual reproduce
     the input.
 
-    The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1); modes are
-    scaled back by 2**s, gamma and energy by 4**s.  That is exact, so any finite
-    x decomposes scale-equivariantly (a gamma past the float64 range reads inf).
+    The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1), and
+    ``_scale_back`` returns its results to the scale of x exactly.
     """
     n = len(x)
     if n < 12:
         raise SignalTooShortError(f"need at least 12 samples to decompose, got {n}")
-    shift = math.frexp(float(np.abs(x.samples).max()))[1]
-    xs = x.with_samples(np.ldexp(x.samples, -shift))
+    xs, shift = _unit_scale(x)
     if config.K_override is not None:
         K = config.K_override
         if not 2 <= K <= n - 1:
@@ -298,29 +330,19 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     clusters, _ = cluster_and_merge(basis, config)
 
-    gains = 1.0 / (1.0 + basis.alpha * basis.mu) if config.shrinkage else np.ones(K)
-    groups = [list(c.member_indices) for c in clusters]
-    entries = []
-    for c, samples in zip(clusters, _anti_diagonal_average(X, basis.vectors, gains, groups)):
-        mu = max(float(c.vector @ R @ c.vector), 0.0)
-        energy = float(c.vector @ G.matrix @ c.vector)
-        scaled = xs.with_samples(samples)
-        peak = dominant_frequency(periodogram(scaled)) if np.any(samples) else None
-        with np.errstate(over="ignore"):  # a value beyond the float64 range reads inf
-            gamma, energy = np.ldexp([c.gamma_total, energy], 2 * shift)
-            series = x.with_samples(np.ldexp(samples, shift))
-        entries.append((c.gamma_total, series, ModeReport(
-            gamma=float(gamma),
-            mu=mu,
-            energy=float(energy),
-            members=len(c.member_indices),
-            peak_frequency_hz=peak,
-        )))
-
-    entries.sort(key=lambda e: -e[0])
-    modes = tuple(e[1] for e in entries)
-    report = tuple(e[2] for e in entries)
-    residual = x.with_samples(x.samples - sum(m.samples for m in modes))
+    with np.errstate(over="ignore"):  # alpha * mu past the float64 range: gain 0
+        gains = 1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage else np.ones(K)
+    parts = _anti_diagonal_average(X, basis.vectors, gains,
+                                   [list(c.member_indices) for c in clusters])
+    stats = [
+        (c.gamma_total, max(float(c.vector @ R @ c.vector), 0.0),
+         float(c.vector @ G.matrix @ c.vector), len(c.member_indices))
+        for c in clusters
+    ]
+    order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma_total)
+    modes, residual, report = _scale_back(
+        x, xs, shift, [parts[i] for i in order], [stats[i] for i in order]
+    )
 
     warnings = ()
     if len(modes) < config.n_modes:
@@ -329,7 +351,6 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
             f"cluster(s) were available",
         )
 
-    _verify_completeness(x, modes, residual)
     _verify_variance_ratio(report, config.alpha)
     return ModeSet(
         modes=modes,
@@ -342,15 +363,16 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     )
 
 
-def _verify_completeness(x: TimeSeries, modes, residual, rel_tol: float = 1e-9) -> None:
+def _verify_completeness(x: np.ndarray, modes, residual: np.ndarray,
+                         rel_tol: float = 1e-9) -> None:
     # The residual is x - sum(modes), so this holds by construction up to the
     # rounding of that sum; it cannot catch a wrongly reconstructed mode (the
     # outer-product oracles in tests/test_modes.py do that).
-    total = residual.samples.copy()
+    total = residual.copy()
     for m in modes:
-        total += m.samples
-    scale = float(np.abs(x.samples).max())
-    err = float(np.abs(total - x.samples).max())
+        total += m
+    scale = float(np.abs(x).max())
+    err = float(np.abs(total - x).max())
     if err > rel_tol * max(scale, 1e-300):
         raise NumericalError(
             f"mode completeness violated: |sum(modes)+residual - x| = {err:.3e}"
@@ -372,53 +394,44 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
 
     Component i is the diagonal average of ``sigma_i u_i v_i^T = X v_i v_i^T``,
     reconstructed like an RMD mode; the top r components are returned
-    together with the residual of everything else.
+    together with the residual of everything else.  Like ``rmd_decompose``
+    it runs on x / 2**s and scales the results back exactly.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    X = build_trajectory_matrix(x, K)
+    xs, shift = _unit_scale(x)
+    X = build_trajectory_matrix(xs, K)
     _, s, Vt = np.linalg.svd(X.data, full_matrices=False)
     warnings = ()
     if r > s.size:
         warnings = (f"requested {r} components but rank is at most {s.size}",)
         r = s.size
 
-    modes = []
-    report = []
-    averaged = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
-    for i, samples in enumerate(averaged):
-        v = Vt[i]
-        series = x.with_samples(samples)
-        mu = float(np.sum(np.diff(v) ** 2))
-        peak = dominant_frequency(periodogram(series)) if np.any(series.samples) else None
-        modes.append(series)
-        report.append(ModeReport(
-            gamma=float(s[i] ** 2),
-            mu=mu,
-            energy=float(s[i] ** 2),
-            members=1,
-            peak_frequency_hz=peak,
-        ))
-    residual = x.with_samples(x.samples - sum(m.samples for m in modes))
+    parts = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
+    stats = [(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1) for i in range(r)]
+    modes, residual, report = _scale_back(x, xs, shift, list(parts), stats)
     config = DecompositionConfig(
         n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
         similarity="cosine", K_override=K,
     )
-    modeset = ModeSet(
-        modes=tuple(modes),
+    return ModeSet(
+        modes=modes,
         residual=residual,
-        report=tuple(report),
+        report=report,
         config=config,
         embedding_dim=K,
         method="ssa",
         warnings=warnings,
     )
-    _verify_completeness(x, modeset.modes, modeset.residual)
-    return modeset
 
 
 # ---------------------------------------------------------------------------
 # serialization: one JSON report plus one CSV per mode and residual
+
+
+def _json_number(v: float) -> float | None:
+    # strict JSON has no Infinity; a gamma or energy past the float64 range is null
+    return v if math.isfinite(v) else None
 
 
 def write_modeset(ms: ModeSet, out_dir: str | Path) -> Path:
@@ -429,28 +442,18 @@ def write_modeset(ms: ModeSet, out_dir: str | Path) -> Path:
         write_timeseries_csv(mode, out / f"mode_{i:02d}.csv")
     write_timeseries_csv(ms.residual, out / "residual.csv")
 
-    cfg = ms.config
     doc = {
         "method": ms.method,
         "sample_rate_hz": ms.residual.sample_rate,
         "n_samples": len(ms.residual),
         "embedding_dim": ms.embedding_dim,
-        "config": {
-            "n_modes": cfg.n_modes,
-            "merge_threshold": cfg.merge_threshold,
-            "alpha": cfg.alpha,
-            "diff_order": cfg.diff_order,
-            "similarity": cfg.similarity,
-            "K_override": cfg.K_override,
-            "shrinkage": cfg.shrinkage,
-            "eigen_floor": cfg.eigen_floor,
-        },
+        "config": asdict(ms.config),
         "modes": [
             {
                 "file": f"mode_{i:02d}.csv",
-                "gamma": e.gamma,
+                "gamma": _json_number(e.gamma),
                 "mu": e.mu,
-                "energy": e.energy,
+                "energy": _json_number(e.energy),
                 "members": e.members,
                 "peak_frequency_hz": e.peak_frequency_hz,
             }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +60,6 @@ class TimeSeries:
             self.samples, other.samples
         )
 
-    @property
-    def duration(self) -> float:
-        """Signal duration in seconds (N / sample_rate)."""
-        return self.samples.size / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        """Sample instants n / sample_rate."""
-        return np.arange(self.samples.size) / self.sample_rate
-
     def with_samples(self, samples: np.ndarray) -> "TimeSeries":
         """A new series with the same rate and different samples."""
         return TimeSeries(samples, self.sample_rate)
@@ -96,16 +86,11 @@ class Spectrum:
 
     ``power`` holds mean-square power per bin: interior bins carry the
     doubled (one-sided) contribution, so ``power.sum()`` equals the mean
-    squared sample of the originating signal.  The scaling convention is
-    echoed in ``convention`` so emitted files are self-describing.
+    squared sample of the originating signal.
     """
 
     frequencies: np.ndarray
     power: np.ndarray
-    convention: str = field(
-        default="one-sided periodogram; interior bins doubled; "
-        "sum of power equals mean squared sample"
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", _frozen(self.frequencies))
@@ -309,18 +294,22 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     ------
     CsvFormatError
         On unparsable or non-finite values (with the offending line number),
-        inconsistent column counts, non-uniform time spacing, or an empty file.
+        inconsistent column counts, non-uniform time spacing, text that is not
+        UTF-8, or an empty file.
     OSError
         If the file cannot be read.
     """
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rows.append((lineno, [f.strip() for f in line.split(",")]))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                rows.append((lineno, [f.strip() for f in line.split(",")]))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
@@ -359,12 +348,12 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     return TimeSeries(np.asarray(values), sample_rate_hz)
 
 
-def write_timeseries_csv(x: TimeSeries, path: str | Path, header: bool = True) -> None:
-    """Write one value per line, shortest round-trip decimal representation."""
+def write_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
+    """Write a ``value`` header, then one value per line, shortest round-trip
+    decimal representation."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write("value\n")
+        fh.write("value\n")
         for v in x.samples:
             fh.write(repr(float(v)) + "\n")
 
@@ -388,7 +377,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
         rate = float(doc["sample_rate_hz"])
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         return None
     return rate if math.isfinite(rate) and rate > 0 else None
 

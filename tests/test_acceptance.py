@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmd.bench import ExperimentSpec, RunConfig, run_experiment
+from rmd.bench import ExperimentSpec, run_experiment
 from rmd.cli import main as cli_main
 from rmd.eigen import (
     GramMatrix,
@@ -132,7 +132,7 @@ def test_criterion_03_generalized_eigen_contracts(capsys):
             M = augmented(R, alpha)
             basis = solve_generalized(G, M, D)
             V = basis.vectors
-            MV = M.matrix @ V
+            MV = M @ V
             mnorm = np.sqrt(np.einsum("ki,ki->i", V, MV))
             cross = np.abs(V.T @ MV) / np.outer(mnorm, mnorm)
             np.fill_diagonal(cross, 0.0)
@@ -164,7 +164,7 @@ def test_criterion_04_rank1_roughness_identity(capsys):
         v = rng.standard_normal(k)
         D = diff_operator(order, k)
         R = smoothing_matrix(D)
-        frob = float(np.linalg.norm(D.matrix @ np.outer(u, v).T, "fro") ** 2)
+        frob = float(np.linalg.norm(D @ np.outer(u, v).T, "fro") ** 2)
         quad = float(v @ R @ v)
         worst = max(worst, abs(frob - quad) / max(abs(quad), 1e-300))
     report(capsys, 4, "rank1-roughness-identity", worst <= 1e-10, f"max rel err {worst:.2e}, 100 cases")
@@ -218,7 +218,7 @@ def test_criterion_07_noiseless_separation(capsys):
            f"peaks {peaks}, min corr {min_corr:.4f}")
 
 
-def run_sine_bench(snr_db: float, config: RunConfig):
+def run_sine_bench(snr_db: float, config: DecompositionConfig):
     spec = ExperimentSpec(
         generator="sine-mixture", snr_db=(snr_db,), seeds=SEEDS,
         configs=(config,), embedding_dim=200,
@@ -232,7 +232,8 @@ def scores_by_freq(cells, freq):
 
 def test_criterion_08_minus5db_reproduction(capsys):
     t0 = time.perf_counter()
-    rep = run_sine_bench(-5.0, RunConfig(alpha=8.0, diff_order=1, theta=0.85, n_modes=4))
+    rep = run_sine_bench(-5.0, DecompositionConfig(
+        alpha=8.0, diff_order=1, merge_threshold=0.85, n_modes=4))
     elapsed = time.perf_counter() - t0
     all_matched = all(s.matched for c in rep.cells for s in c.scores)
     errs = [abs(s.peak_freq_hz - s.true_freq_hz)
@@ -249,7 +250,8 @@ def test_criterion_08_minus5db_reproduction(capsys):
 
 def test_criterion_09_minus15db_reproduction(capsys):
     t0 = time.perf_counter()
-    rep = run_sine_bench(-15.0, RunConfig(alpha=10.0, diff_order=1, theta=0.6, n_modes=8))
+    rep = run_sine_bench(-15.0, DecompositionConfig(
+        alpha=10.0, diff_order=1, merge_threshold=0.6, n_modes=8))
     elapsed = time.perf_counter() - t0
     hit2 = sum(
         1 for s in scores_by_freq(rep.cells, 2.0)
@@ -271,7 +273,7 @@ def test_criterion_09_minus15db_reproduction(capsys):
 def test_criterion_10_nonlinear_reproduction(capsys):
     spec = ExperimentSpec(
         generator="am-mixture", snr_db=(0.0,), seeds=SEEDS,
-        configs=(RunConfig(alpha=2.0, diff_order=1, theta=0.85, n_modes=4),),
+        configs=(DecompositionConfig(alpha=2.0, diff_order=1, merge_threshold=0.85, n_modes=4),),
         embedding_dim=200,
     )
     rep = run_experiment(spec)

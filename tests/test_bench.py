@@ -7,15 +7,17 @@ from rmd.bench import (
     CellResult,
     ExperimentReport,
     ExperimentSpec,
-    RunConfig,
-    load_signal_csv,
     run_experiment,
-    run_file_experiment,
-    run_nonlinear_experiment,
-    run_sine_snr_experiment,
     write_report,
 )
-from rmd.signals import CsvFormatError, SineComponent, gen_sinusoid_mixture, write_timeseries_csv
+from rmd.modes import DecompositionConfig
+from rmd.signals import (
+    CsvFormatError,
+    SineComponent,
+    gen_sinusoid_mixture,
+    read_timeseries_csv,
+    write_timeseries_csv,
+)
 
 
 def sine_spec(**overrides):
@@ -23,7 +25,7 @@ def sine_spec(**overrides):
         generator="sine-mixture",
         snr_db=(60.0,),
         seeds=(0, 1),
-        configs=(RunConfig(alpha=0.3, n_modes=3),),
+        configs=(DecompositionConfig(alpha=0.3, n_modes=3),),
         embedding_dim=200,
     )
     base.update(overrides)
@@ -49,7 +51,7 @@ class TestExperimentSpec:
 
     def test_file_needs_path(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(generator="file", configs=(RunConfig(alpha=1.0),))
+            ExperimentSpec(generator="file", configs=(DecompositionConfig(alpha=1.0, n_modes=3),))
 
     def test_from_dict_grid_expansion(self):
         spec = ExperimentSpec.from_dict({
@@ -65,7 +67,7 @@ class TestExperimentSpec:
         assert {(c.alpha, c.diff_order) for c in spec.configs} == {
             (1.0, 1), (1.0, 2), (2.0, 1), (2.0, 2)
         }
-        assert all(c.theta == 0.7 and c.n_modes == 4 for c in spec.configs)
+        assert all(c.merge_threshold == 0.7 and c.n_modes == 4 for c in spec.configs)
 
     def test_from_dict_explicit_configs(self):
         spec = ExperimentSpec.from_dict({
@@ -84,7 +86,7 @@ class TestExperimentSpec:
 
 class TestSineExperiment:
     def test_near_noiseless_sanity(self):
-        report = run_sine_snr_experiment(sine_spec())
+        report = run_experiment(sine_spec())
         assert len(report.cells) == 2
         for cell in report.cells:
             assert cell.success
@@ -95,22 +97,22 @@ class TestSineExperiment:
                 assert s.within_peak_tol
 
     def test_matching_is_injective(self):
-        report = run_sine_snr_experiment(sine_spec(snr_db=(-15.0,), seeds=(0,)))
+        report = run_experiment(sine_spec(snr_db=(-15.0,), seeds=(0,)))
         for cell in report.cells:
             indices = [s.mode_index for s in cell.scores if s.matched]
             assert len(indices) == len(set(indices))
 
     def test_cells_enumerate_grid(self):
         spec = sine_spec(snr_db=(60.0, 40.0), seeds=(0, 1, 2))
-        report = run_sine_snr_experiment(spec)
+        report = run_experiment(spec)
         assert len(report.cells) == 6
         keys = {(c.snr_db, c.seed) for c in report.cells}
         assert len(keys) == 6
 
     def test_determinism_modulo_wall_time(self):
         spec = sine_spec(seeds=(3,))
-        a = run_sine_snr_experiment(spec)
-        b = run_sine_snr_experiment(spec)
+        a = run_experiment(spec)
+        b = run_experiment(spec)
         assert a.spec == b.spec
         assert all(x.same_but_timing(y) for x, y in zip(a.cells, b.cells))
 
@@ -121,10 +123,10 @@ class TestNonlinearExperiment:
             generator="am-mixture",
             snr_db=(80.0,),
             seeds=(0,),
-            configs=(RunConfig(alpha=0.3, n_modes=3),),
+            configs=(DecompositionConfig(alpha=0.3, n_modes=3),),
             embedding_dim=200,
         )
-        report = run_nonlinear_experiment(spec)
+        report = run_experiment(spec)
         cell = report.cells[0]
         assert cell.success
         for s in cell.scores:
@@ -139,10 +141,10 @@ class TestNonlinearExperiment:
             generator="am-mixture",
             snr_db=(0.0,),
             seeds=(0,),
-            configs=(RunConfig(alpha=0.0, n_modes=3),),
+            configs=(DecompositionConfig(alpha=0.0, n_modes=3),),
             embedding_dim=200,
         )
-        report = run_nonlinear_experiment(spec)
+        report = run_experiment(spec)
         # the unregularized run may separate poorly; it must still be recorded
         assert len(report.cells) == 1
         assert report.cells[0].success
@@ -162,10 +164,10 @@ class TestFileExperiment:
             generator="file",
             input_path=str(path),
             sample_rate_hz=100.0,
-            configs=(RunConfig(alpha=2.0, n_modes=3),),
+            configs=(DecompositionConfig(alpha=2.0, n_modes=3),),
             embedding_dim=500,
         )
-        report = run_file_experiment(spec)
+        report = run_experiment(spec)
         cell = report.cells[0]
         assert cell.success
         assert "respiration" in cell.band_labels
@@ -178,10 +180,10 @@ class TestFileExperiment:
             generator="file",
             input_path=str(path),
             sample_rate_hz=10.0,
-            configs=(RunConfig(alpha=1.0, n_modes=2), RunConfig(alpha=1.0, n_modes=2, diff_order=2)),
+            configs=(DecompositionConfig(alpha=1.0, n_modes=2), DecompositionConfig(alpha=1.0, n_modes=2, diff_order=2)),
             embedding_dim=64,  # out of range for N=12
         )
-        report = run_file_experiment(spec)
+        report = run_experiment(spec)
         assert len(report.cells) == 2
         assert all(not c.success and c.error for c in report.cells)
 
@@ -193,37 +195,37 @@ class TestLoadSignalCsv:
         write_timeseries_csv(
             __import__("rmd").TimeSeries(values, 100.0), path
         )
-        x = load_signal_csv(path, 100.0)
+        x = read_timeseries_csv(path, 100.0)
         assert len(x) == 2048
         assert x.sample_rate == 100.0
 
     def test_header_and_three_rows(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("value\n1.0\n2.0\n3.0\n")
-        assert len(load_signal_csv(path, 10.0)) == 3
+        assert len(read_timeseries_csv(path, 10.0)) == 3
 
     def test_nan_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\nNaN\n3.0\n")
         with pytest.raises(CsvFormatError, match="line 2"):
-            load_signal_csv(path, 10.0)
+            read_timeseries_csv(path, 10.0)
 
 
 class TestReportArtifacts:
     def test_json_round_trip(self):
-        report = run_sine_snr_experiment(sine_spec())
+        report = run_experiment(sine_spec())
         again = ExperimentReport.from_json(report.to_json())
         assert again == report
 
     def test_aggregates_recomputed_from_cells(self):
-        report = run_sine_snr_experiment(sine_spec())
+        report = run_experiment(sine_spec())
         assert report.aggregates() == report.aggregates()
         again = ExperimentReport.from_json(report.to_json())
         assert again.aggregates() == report.aggregates()
 
     def test_write_report_artifacts(self, tmp_path):
         spec = sine_spec(snr_db=(60.0, 40.0), seeds=(0, 1, 2))
-        report = run_sine_snr_experiment(spec)
+        report = run_experiment(spec)
         paths = write_report(report, tmp_path)
         doc = json.loads(paths["report"].read_text())
         assert doc["schema_version"] == 1

@@ -1,14 +1,25 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rmd.cli import main
+from rmd.modes import SIMILARITY_MEASURES
 from rmd.signals import TimeSeries, read_timeseries_csv, write_timeseries_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 @pytest.fixture()
@@ -185,10 +196,23 @@ class TestDecompose:
                 "--out", str(tmp_path / name),
             )
             assert code == 0
-            doc = json.loads((tmp_path / name / "decomposition.json").read_text())
+            text = (tmp_path / name / "decomposition.json").read_text()
+            doc = json.loads(text, parse_constant=_reject_non_finite)  # strict JSON
             peaks[name] = [m["peak_frequency_hz"] for m in doc["modes"]]
         assert "Traceback" not in capsys.readouterr().err
         assert peaks["huge"] == peaks["unit"]
+        # gamma and energy of the 1e200 tone are past the float64 range: null
+        assert all(m["gamma"] is None and m["energy"] is None for m in doc["modes"])
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--theta", "2", "merge_threshold"), ("--alpha", "-1", "alpha"),
+        ("-r", "0", "n_modes"), ("-K", "1", "K_override"),
+    ])
+    def test_bad_flag_exits_2_before_missing_file(self, tmp_path, capsys, flag, value, name):
+        argv = ["decompose", str(tmp_path / "nope.csv"), "--sample-rate", "100",
+                "-r", "1", flag, value, "--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "sidecar-1e400"])
     def test_non_finite_sample_rate_exits_2(self, tone_file, tmp_path, capsys, source):
@@ -270,6 +294,28 @@ class TestBench:
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"alpha": -1},
+        {"alpha": float("inf")},
+        {"alpha": 1.0, "theta": 2.0},
+        {"alpha": 1.0, "n_modes": 0},
+        {"alpha": 1.0, "diff_order": 3},
+        {"alpha": 1.0, "measure": "manhattan"},
+        {"alpha": "1"},
+        {"n_modes": 3},
+        {"alpha": 1.0, "merge_threshold": 0.5},
+        {"alpha": 1.0, "eigen_floor": 0.0},
+        {"alpha": 1.0, "K_override": 50},
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, config):
+        # configs are checked when the spec is read, before any cell runs
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0], "configs": [config]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_spec_exits_3(self, tmp_path):
         assert run_cli("bench", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")) == 3
 
@@ -289,3 +335,118 @@ class TestBench:
             for cell in doc["cells"]:
                 cell.pop("wall_ms")
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over hostile input: 0 ok, 2 usage, 3 I/O, 4 numerical,
+# and no other exception
+
+
+def _exit_code(argv: list[str]) -> int:
+    """main's return value, or the code argparse exits with."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+_numbers = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([0, -1, 1e308, -1e308, 5e-324, 1e400, 10**400]),
+)
+_garbage = st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
+                   max_size=6)
+_hostile = st.one_of(_numbers.map(repr), st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+                     _garbage)
+_valid_flags = st.fixed_dictionaries(
+    {"--modes": st.integers(1, 6)},
+    optional={
+        "--alpha": st.floats(0, 50), "--theta": st.floats(0.05, 1.01),
+        "--embedding-dim": st.integers(2, 40), "--sample-rate": st.floats(0.1, 1000),
+    },
+).map(lambda flags: {k: repr(v) for k, v in flags.items()})
+_row = st.one_of(
+    st.floats().map(repr), st.integers(-1000, 1000).map(str), st.just("nan"), st.just(""),
+    _garbage, st.tuples(st.floats(0, 100), st.floats()).map(lambda t: f"{t[0]!r},{t[1]!r}"),
+)
+
+
+def _csv(header: str, rows) -> bytes:
+    return (header + "".join(f"{r}\n" for r in rows)).encode("utf-8")
+
+
+# finite samples of any magnitude, under an optional header
+_valid_body = st.builds(_csv, st.sampled_from(["", "value\n"]),
+                        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=12, max_size=64))
+_hostile_body = st.builds(_csv, st.sampled_from(["", "value\n", "time,value\n"]),
+                          st.lists(_row, max_size=64)) | st.binary(max_size=64)
+_rate_doc = st.floats(0.1, 1000).map(lambda v: json.dumps({"sample_rate_hz": v}))
+_hostile_sidecar = st.one_of(
+    st.none(), _garbage,
+    st.one_of(_numbers, st.text(max_size=4), st.none()).map(
+        lambda v: json.dumps({"sample_rate_hz": v})),
+)
+# at most one hostile part per run, so that the others get past their checks
+_fault = st.one_of(
+    st.none(),
+    st.tuples(st.just("flag"), st.sampled_from(
+        ["--modes", "--alpha", "--theta", "--embedding-dim", "--sample-rate"]), _hostile),
+    st.tuples(st.just("body"), _hostile_body),
+    st.tuples(st.just("sidecar"), _hostile_sidecar),
+)
+_config = st.one_of(
+    st.fixed_dictionaries({"alpha": st.floats(0, 20)}, optional={
+        "diff_order": st.integers(1, 2), "theta": st.floats(0.05, 1.01),
+        "n_modes": st.integers(1, 5), "measure": st.sampled_from(SIMILARITY_MEASURES),
+        "shrinkage": st.booleans(),
+    }),
+    st.dictionaries(
+        st.sampled_from(["alpha", "diff_order", "theta", "n_modes", "measure", "shrinkage",
+                         "merge_threshold", "eigen_floor", "K_override"]),
+        st.one_of(_numbers, st.integers(0, 4), st.booleans(), st.none(), _garbage,
+                  st.sampled_from(SIMILARITY_MEASURES)),
+        max_size=6,
+    ),
+)
+_contract = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestExitCodeContract:
+    @_contract
+    @given(flags=_valid_flags, body=_valid_body, sidecar=_rate_doc, fault=_fault)
+    def test_decompose(self, flags, body, sidecar, fault):
+        if fault is not None:
+            kind, *value = fault
+            if kind == "flag":
+                flags[value[0]] = value[1]
+            elif kind == "body":
+                body = value[0]
+            else:
+                sidecar = value[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(body)
+            if sidecar is not None:
+                path.with_suffix(".json").write_text(sidecar, encoding="utf-8")
+            argv = ["decompose", str(path), "--out", str(Path(tmp) / "out")]
+            argv += [f"{flag}={value}" for flag, value in flags.items()]
+            assert _exit_code(argv) in (0, 2, 3, 4)
+
+    @_contract
+    @given(configs=st.lists(_config, max_size=3),
+           embedding_dim=st.one_of(st.none(), st.integers(-2, 60)))
+    def test_bench(self, configs, embedding_dim):
+        doc = {
+            "generator": "sine-mixture", "snr_db": [20.0], "seeds": [0],
+            "sample_rate_hz": 100.0, "duration_s": 0.5, "embedding_dim": embedding_dim,
+            "frequencies_hz": [5.0, 20.0], "amplitudes": [1.0, 0.5], "configs": configs,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert _exit_code(["bench", str(path), "--out", str(Path(tmp) / "out")]) in (
+                0, 2, 3, 4)

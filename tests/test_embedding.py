@@ -49,7 +49,7 @@ class TestBuildTrajectoryMatrix:
         x = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0], 1.0)
         tm = build_trajectory_matrix(x, 3)
         np.testing.assert_array_equal(tm.data, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
-        assert tm.n_samples == 5 and tm.embedding_dim == 3 and tm.delay == 1
+        assert tm.n_samples == 5 and tm.embedding_dim == 3
 
     def test_three_sample_example(self):
         tm = build_trajectory_matrix(TimeSeries([1.0, 2.0, 3.0], 1.0), 2)
@@ -80,8 +80,6 @@ class TestBuildTrajectoryMatrix:
     def test_shape_consistency_enforced(self):
         with pytest.raises(ValueError):
             TrajectoryMatrix(data=np.zeros((3, 2)), n_samples=99, embedding_dim=2)
-        with pytest.raises(ValueError):
-            TrajectoryMatrix(data=np.zeros((3, 2)), n_samples=4, embedding_dim=2, delay=2)
 
 
 class TestDiagonalAverage:

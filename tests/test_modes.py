@@ -33,13 +33,13 @@ from rmd.signals import (
 )
 
 
-def make_basis(vectors, gammas, alpha=0.0):
+def make_basis(vectors, gammas):
     V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
     V = V / np.linalg.norm(V, axis=0)
     k = len(gammas)
     return EigenBasis(
         gammas=np.asarray(gammas, dtype=float), vectors=V, mu=np.zeros(k),
-        negligible=np.zeros(k, dtype=bool), alpha=alpha,
+        negligible=np.zeros(k, dtype=bool),
     )
 
 
@@ -174,7 +174,7 @@ class TestClusterAndMerge:
 
     def test_empty_basis_rejected(self):
         empty = EigenBasis(gammas=np.empty(0), vectors=np.empty((0, 0)), mu=np.empty(0),
-                           negligible=np.empty(0, dtype=bool), alpha=0.0)
+                           negligible=np.empty(0, dtype=bool))
         with pytest.raises(ValueError):
             cluster_and_merge(empty, DecompositionConfig(n_modes=1))
 
@@ -525,6 +525,21 @@ class TestSsaDecompose:
         ms = ssa_decompose(x, K=10, r=4)
         for e, s in zip(ms.report, svals):
             assert e.gamma == pytest.approx(s**2, rel=1e-10)
+
+    def test_huge_amplitude_is_scale_equivariant(self):
+        # gamma and energy of a 1e200 sine overflow: they read inf, with no
+        # RuntimeWarning, and the modes are the unit modes times the scale
+        c = 1e200
+        tone = TimeSeries(np.sin(np.arange(400) / 3.0), 50.0)
+        unit = ssa_decompose(tone, K=40, r=2)
+        huge = ssa_decompose(tone.with_samples(c * tone.samples), K=40, r=2)
+        assert all(e.gamma == e.energy == np.inf for e in huge.report)
+        assert [e.peak_frequency_hz for e in huge.report] == [
+            e.peak_frequency_hz for e in unit.report
+        ]
+        for m, ref in zip(huge.modes, unit.modes):
+            expected = c * ref.samples
+            assert np.abs(m.samples - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 class TestModeSetSerialization:
