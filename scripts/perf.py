@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""End-to-end timings of the fixed performance cases, as medians of warm runs.
+
+Cases:
+  minus5db     three-tone 2/5/19 Hz mixture at -5 dB, N=2000, K=200, r=4
+  minus15db    the same mixture at -15 dB, K=200, r=8, theta=0.6
+  long_window  0.3 + 1.2 Hz tones in 0 dB noise, N=2048, K=682, r=4
+  sine_snr     specs/sine_snr.json through run_experiment and write_report
+  nonlinear    specs/nonlinear.json through run_experiment and write_report
+
+It times whichever ``rmd`` package the interpreter imports, so the same script
+measures any checkout:
+
+  PYTHONPATH=src python scripts/perf.py --label change --out BENCH_6.json
+  PYTHONPATH=../parent/src python scripts/perf.py --label parent --out BENCH_6.json
+
+Each call appends one run (label, BLAS vendor, thread setting, core count and
+per-case median, quartiles and sample count, in ms) to the ``runs`` list of
+the output file, creating it if needed.  BLAS is pinned to one thread unless
+OPENBLAS_NUM_THREADS is already set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+WARMUP = 2  # untimed runs per case, so caches and lazy imports are settled
+
+
+def _cases(out: Path):
+    import numpy as np
+
+    from rmd.bench import ExperimentSpec, run_experiment, write_report
+    from rmd.modes import DecompositionConfig, rmd_decompose
+    from rmd.signals import SineComponent, TimeSeries, add_noise_at_snr, gen_sinusoid_mixture
+
+    mixture, _ = gen_sinusoid_mixture(
+        [SineComponent(2.0, 3.0), SineComponent(5.0, 0.5), SineComponent(19.0, 4.0)],
+        200.0, 10.0)
+    m5 = add_noise_at_snr(mixture, -5.0, 0)[0]
+    m15 = add_noise_at_snr(mixture, -15.0, 0)[0]
+    t = np.arange(2048) / 100.0
+    tones = np.sin(2 * np.pi * 0.3 * t + 1.0) + 0.5 * np.sin(2 * np.pi * 1.2 * t + 2.0)
+    radar = add_noise_at_snr(TimeSeries(tones, 100.0), 0.0, 0)[0]
+    cfg5 = DecompositionConfig(n_modes=4, alpha=8.0, K_override=200)
+    cfg15 = DecompositionConfig(n_modes=8, alpha=10.0, merge_threshold=0.6, K_override=200)
+    cfg_long = DecompositionConfig(n_modes=4, alpha=2.0, K_override=682)
+    specs = {name: ExperimentSpec.from_dict(json.loads((SPECS / f"{name}.json").read_text()))
+             for name in ("sine_snr", "nonlinear")}
+
+    def sweep(name):
+        return lambda: write_report(run_experiment(specs[name]), out / name)
+
+    return {
+        "minus5db": (lambda: rmd_decompose(m5, cfg5), 15),
+        "minus15db": (lambda: rmd_decompose(m15, cfg15), 15),
+        "long_window": (lambda: rmd_decompose(radar, cfg_long), 15),
+        "sine_snr": (sweep("sine_snr"), 7),
+        "nonlinear": (sweep("nonlinear"), 7),
+    }
+
+
+def _blas() -> str:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return "unknown"
+
+
+def measure() -> dict:
+    import numpy as np
+    import scipy
+
+    cases = {}
+    with tempfile.TemporaryDirectory(prefix="rmd-perf-") as tmp:
+        for name, (run, repeats) in _cases(Path(tmp)).items():
+            for _ in range(WARMUP):
+                run()
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                run()
+                times.append((time.perf_counter() - t0) * 1e3)
+            q1, med, q3 = np.percentile(times, [25, 50, 75])
+            cases[name] = {"median_ms": round(float(med), 2), "q1_ms": round(float(q1), 2),
+                           "q3_ms": round(float(q3), 2), "n": repeats}
+    return {
+        "blas": _blas(),
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": sys.version.split()[0],
+        "cases": cases,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="name of the measured version")
+    ap.add_argument("--out", type=Path, help="JSON file to append the run to")
+    args = ap.parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads BLAS
+    run = {"label": args.label, **measure()}
+    print(json.dumps(run, indent=2))
+    if args.out:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+        doc["runs"].append(run)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

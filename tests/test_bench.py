@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +8,23 @@ from rmd.bench import (
     CellResult,
     ExperimentReport,
     ExperimentSpec,
+    _source,
     run_experiment,
     write_report,
 )
-from rmd.modes import DecompositionConfig
+from rmd.eigen import augmented, diff_operator, gram, smoothing_matrix, solve_generalized
+from rmd.embedding import build_trajectory_matrix
+from rmd.modes import DecompositionConfig, _unit_scale, cluster_and_merge
 from rmd.signals import (
     CsvFormatError,
     SineComponent,
+    add_noise_at_snr,
     gen_sinusoid_mixture,
     read_timeseries_csv,
     write_timeseries_csv,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def sine_spec(**overrides):
@@ -68,6 +75,13 @@ class TestExperimentSpec:
             (1.0, 1), (1.0, 2), (2.0, 1), (2.0, 2)
         }
         assert all(c.merge_threshold == 0.7 and c.n_modes == 4 for c in spec.configs)
+
+    @pytest.mark.parametrize("grid", [{"n_modes": 2.5}, {"diff_orders": [1.0]}])
+    def test_grid_counts_must_be_integers(self, grid):
+        # a grid used to truncate 2.5 to 2 modes and accept order 1.0
+        doc = {"generator": "sine-mixture", "snr_db": [-5], "seeds": [0], "alphas": [1.0]}
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentSpec.from_dict({**doc, **grid})
 
     def test_from_dict_explicit_configs(self):
         spec = ExperimentSpec.from_dict({
@@ -259,3 +273,32 @@ class TestReportArtifacts:
         )
         report = ExperimentReport(spec=sine_spec(), cells=(cell,))
         assert ExperimentReport.from_json(report.to_json()) == report
+
+
+class TestTruncatedBasisOnBundledSpecs:
+    """rmd_decompose clusters only the top 8 * n_modes eigenpairs.  On every cell
+    of the bundled specs that must give the clusters the full basis gives."""
+
+    @staticmethod
+    def members(xs, config, K, n_pairs):
+        tm = build_trajectory_matrix(xs, K)
+        D = diff_operator(config.diff_order, K)
+        basis = solve_generalized(gram(tm), augmented(smoothing_matrix(D), config.alpha), D,
+                                  eigen_floor=config.eigen_floor, n_pairs=n_pairs)
+        return [c.member_indices for c in cluster_and_merge(basis, config)[0]]
+
+    @pytest.mark.parametrize("name", ["sine_snr.json", "nonlinear.json"])
+    def test_cluster_members_match_full_basis(self, name):
+        spec = ExperimentSpec.from_dict(json.loads((SPECS / name).read_text()))
+        assert spec.seeds == tuple(range(10))
+        clean, _ = _source(spec)
+        cells = 0
+        for snr in spec.snr_db:
+            for seed in spec.seeds:
+                xs, _ = _unit_scale(add_noise_at_snr(clean, snr, seed)[0])
+                for config in spec.configs:
+                    full = self.members(xs, config, spec.embedding_dim, None)
+                    top = self.members(xs, config, spec.embedding_dim, 8 * config.n_modes)
+                    assert top == full, (snr, seed, config)
+                    cells += 1
+        assert cells == len(spec.snr_db) * len(spec.seeds) * len(spec.configs)

@@ -306,6 +306,10 @@ class TestBench:
         {"alpha": 1.0, "merge_threshold": 0.5},
         {"alpha": 1.0, "eigen_floor": 0.0},
         {"alpha": 1.0, "K_override": 50},
+        {"alpha": 1.0, "n_modes": float("nan")},
+        {"alpha": 1.0, "n_modes": 2.5},
+        {"alpha": 1.0, "n_modes": True},
+        {"alpha": 1.0, "diff_order": 1.0},
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, config):
         # configs are checked when the spec is read, before any cell runs

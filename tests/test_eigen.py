@@ -332,3 +332,82 @@ class TestSolveGeneralized:
         D = diff_operator(1, 2)
         with pytest.raises(ValueError):
             solve_generalized(G, augmented(smoothing_matrix(D), 1.0), D)
+
+
+class TestTruncatedSolve:
+    """``n_pairs=m`` returns the top m pairs of the full solve, by either driver."""
+
+    @staticmethod
+    def solve_spy(monkeypatch):
+        drivers = []
+        eigh = sla.eigh
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs["driver"])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", spy)
+        return drivers
+
+    # syevr runs when 8 m <= K, syevd (then the top m are kept) otherwise
+    @pytest.mark.parametrize("K, m, driver", [
+        (200, 25, "evr"), (200, 26, "evd"), (200, 32, "evd"), (682, 32, "evr"),
+        (40, 5, "evr"), (40, 6, "evd"), (9, 1, "evr"), (9, 2, "evd"),
+    ])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_subset_equals_top_of_full_solve(self, rng, monkeypatch, K, m, driver, order):
+        G = random_psd(rng, K)
+        D = diff_operator(order, K)
+        M = augmented(smoothing_matrix(D), 1.5)
+        full = solve_generalized(G, M, D)
+        drivers = self.solve_spy(monkeypatch)
+        top = solve_generalized(G, M, D, n_pairs=m)
+        assert drivers == [driver]
+        assert top.vectors.shape == (K, m) and len(top) == m
+        assert np.abs(top.gammas - full.gammas[:m]).max() <= 1e-12 * full.gammas[0]
+        cos = np.abs(np.einsum("ki,ki->i", top.vectors, full.vectors[:, :m]))
+        assert cos.min() >= 1 - 1e-10
+        np.testing.assert_allclose(top.mu, full.mu[:m], rtol=1e-8, atol=1e-12)
+        assert np.array_equal(top.negligible, full.negligible[:m])
+
+    @pytest.mark.parametrize("K, m", [(200, 16), (200, 64)])
+    def test_contracts_hold_on_the_returned_pairs(self, rng, K, m):
+        G = random_psd(rng, K)
+        D = diff_operator(1, K)
+        M = augmented(smoothing_matrix(D), 2.5)
+        basis = solve_generalized(G, M, D, n_pairs=m)
+        V = basis.vectors
+        MV = M @ V
+        mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
+        cross = np.abs(V.T @ MV) / np.outer(mnorms, mnorms)
+        np.fill_diagonal(cross, 0.0)
+        assert cross.max() <= 1e-8
+        energies = np.einsum("ki,ki->i", V, G.matrix @ V)
+        np.testing.assert_allclose(basis.gammas * (1 + 2.5 * basis.mu), energies, rtol=1e-8)
+        np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
+        assert np.all(np.diff(basis.gammas) <= 0)
+
+    def test_m_at_least_k_is_the_full_basis(self, rng):
+        G = random_psd(rng, 12)
+        D = diff_operator(2, 12)
+        M = augmented(smoothing_matrix(D), 0.7)
+        full = solve_generalized(G, M, D)
+        for m in (12, 13, 100):
+            basis = solve_generalized(G, M, D, n_pairs=m)
+            for name in ("gammas", "vectors", "mu", "negligible"):
+                assert np.array_equal(getattr(basis, name), getattr(full, name))
+
+    def test_n_pairs_below_one_rejected(self):
+        D = diff_operator(1, 4)
+        with pytest.raises(ValueError, match="n_pairs"):
+            solve_generalized(GramMatrix(np.eye(4)), augmented(smoothing_matrix(D), 1.0), D,
+                              n_pairs=0)
+
+    def test_basis_of_m_columns(self, rng):
+        basis = solve_for(random_psd(rng, 6), alpha=0.5)
+        sub = EigenBasis(basis.gammas[:2], basis.vectors[:, :2], basis.mu[:2],
+                         basis.negligible[:2])
+        assert len(sub) == 2 and sub.vectors.shape == (6, 2)
+        with pytest.raises(ValueError):
+            EigenBasis(basis.gammas[:2], basis.vectors[:, :3], basis.mu[:2],
+                       basis.negligible[:2])

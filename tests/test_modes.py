@@ -66,6 +66,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecompositionConfig(n_modes=1, similarity="taxicab")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_modes", float("nan")), ("n_modes", 2.5), ("n_modes", True),
+        ("diff_order", 1.0), ("K_override", 50.0), ("K_override", False),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DecompositionConfig(**{"n_modes": 3, field: value})
+
 
 class TestSimilarity:
     def test_identity(self, rng):
@@ -391,10 +399,11 @@ class TestRmdDecompose:
             rmd_decompose(x, DecompositionConfig(n_modes=1, K_override=20))
 
 
-def solve_basis(x, K, alpha, order):
+def solve_basis(x, K, alpha, order, n_pairs=None):
     tm = build_trajectory_matrix(x, K)
     D = diff_operator(order, K)
-    return tm, solve_generalized(gram(tm), augmented(smoothing_matrix(D), alpha), D)
+    return tm, solve_generalized(gram(tm), augmented(smoothing_matrix(D), alpha), D,
+                                 n_pairs=n_pairs)
 
 
 def naive_clusters(basis, cfg):
@@ -439,7 +448,8 @@ class TestArrayPathOracles:
             K_override=K, shrinkage=shrinkage,
         )
         ms = rmd_decompose(x, cfg)
-        tm, basis = solve_basis(x, K, cfg.alpha, order)
+        # rmd_decompose clusters only the top m = min(K, 8 n_modes) pairs
+        tm, basis = solve_basis(x, K, cfg.alpha, order, n_pairs=8 * cfg.n_modes)
         clusters, _ = cluster_and_merge(basis, cfg)
         Zs = []
         for c in sorted(clusters, key=lambda c: -c.gamma_total):

@@ -128,6 +128,14 @@ class TestAddNoise:
         noisy, noise = add_noise_at_snr(mixture, -5.0, seed=0)
         np.testing.assert_array_equal(noisy.samples, mixture.samples + noise.samples)
 
+    def test_huge_amplitude_is_scale_equivariant(self, three_tone):
+        # squaring 2**660 (~5e198) overflows; any RuntimeWarning fails tier-1
+        mixture, _ = three_tone
+        c = 2.0 ** 660
+        _, unit = add_noise_at_snr(mixture, -5.0, seed=3)
+        _, noise = add_noise_at_snr(mixture.with_samples(c * mixture.samples), -5.0, seed=3)
+        assert np.array_equal(noise.samples, c * unit.samples)
+
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             add_noise_at_snr(TimeSeries([0.0, 0.0, 0.0], 10.0), 0.0, 0)
