@@ -11,13 +11,15 @@ Cases:
 It times whichever ``rmd`` package the interpreter imports, so the same script
 measures any checkout:
 
-  PYTHONPATH=src python scripts/perf.py --label change --out BENCH_6.json
-  PYTHONPATH=../parent/src python scripts/perf.py --label parent --out BENCH_6.json
+  PYTHONPATH=src python scripts/perf.py --label change --out BENCH_7.json
+  PYTHONPATH=../parent/src python scripts/perf.py --label parent --out BENCH_7.json
 
 Each call appends one run (label, BLAS vendor, thread setting, core count and
 per-case median, quartiles and sample count, in ms) to the ``runs`` list of
-the output file, creating it if needed.  BLAS is pinned to one thread unless
-OPENBLAS_NUM_THREADS is already set.
+the output file, creating it if needed.  Each case also records
+``peak_alloc_mb``, the ``tracemalloc`` peak of one extra untimed run (NumPy
+reports its array buffers to tracemalloc).  BLAS is pinned to one thread
+unless OPENBLAS_NUM_THREADS is already set.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -92,8 +95,15 @@ def measure() -> dict:
                 run()
                 times.append((time.perf_counter() - t0) * 1e3)
             q1, med, q3 = np.percentile(times, [25, 50, 75])
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             cases[name] = {"median_ms": round(float(med), 2), "q1_ms": round(float(q1), 2),
-                           "q3_ms": round(float(q3), 2), "n": repeats}
+                           "q3_ms": round(float(q3), 2), "n": repeats,
+                           "peak_alloc_mb": round(peak / 1e6, 2)}
     return {
         "blas": _blas(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],

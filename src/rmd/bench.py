@@ -25,6 +25,7 @@ from .signals import (
     periodogram,
     read_timeseries_csv,
     score_mode,
+    unit_scaled,
 )
 
 SCHEMA_VERSION = 1
@@ -264,6 +265,12 @@ class ExperimentReport:
         )
 
 
+def _unit_scaled(truths: list[TimeSeries]) -> list[TimeSeries]:
+    # one exact power-of-two scale for all truths keeps their peaks and RMS order
+    scaled, _ = unit_scaled(np.stack([t.samples for t in truths]))
+    return [t.with_samples(s) for t, s in zip(truths, scaled)]
+
+
 def match_modes_to_truths(
     ms: ModeSet, truths: list[TimeSeries]
 ) -> dict[int, int]:
@@ -271,8 +278,10 @@ def match_modes_to_truths(
 
     Truths are visited in descending RMS order; each claims the unclaimed
     mode whose spectral peak is nearest its own.  Peakless modes never match.
+    Truth powers are taken on the ``unit_scaled`` truths, so none overflows.
     """
     mode_peaks = [e.peak_frequency_hz for e in ms.report]
+    truths = _unit_scaled(truths)
     truth_peaks = [dominant_frequency(periodogram(t)) for t in truths]
     order = np.argsort(
         [-float(np.sqrt(np.mean(t.samples**2))) for t in truths], kind="stable"
@@ -306,7 +315,7 @@ def _score_cell(
     am_truth_index: int | None = None,
 ) -> tuple[tuple[float | None, ...], tuple[ComponentScore, ...]]:
     assignment = match_modes_to_truths(ms, truths)
-    truth_freqs = [dominant_frequency(periodogram(t)) for t in truths]
+    truth_freqs = [dominant_frequency(periodogram(t)) for t in _unit_scaled(truths)]
     scores = []
     for ti, truth in enumerate(truths):
         freq = truth_freqs[ti] if truth_freqs[ti] is not None else 0.0

@@ -3,16 +3,16 @@
 The decomposition rests on the symmetric-definite generalized eigenproblem
 ``G v = gamma (I + alpha R) v`` where G is the trajectory Gram matrix and
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
-M = I + alpha R is positive definite and banded, so it is factored in its band
-(M = U^T U) and the problem reduced to the standard one U^-T G U^-1 y = gamma y
-by banded triangular solves.  One symmetric eigensolve of that matrix returns
-the top m eigenpairs, held as arrays: ``rmd_decompose`` asks for
+No K x K copy of D, R or M = I + alpha R is formed: D is built in diagonal
+storage and R and M, which are banded, in LAPACK band storage.  M is factored
+in its band (M = U^T U) and the problem reduced to the standard one
+U^-T G U^-1 y = gamma y by banded triangular solves; G, the first solve's
+result and that matrix are the only K x K arrays.  One symmetric eigensolve
+returns the top m eigenpairs, held as arrays: ``rmd_decompose`` asks for
 m = min(K, 8 n_modes), since clustering reads only the leading pairs.  LAPACK
 syevr computes just those m when 8 m <= K; otherwise syevd computes all K and
-the top m are kept, which is faster when m is a large share of K.  Either
-driver's tridiagonalization is the only O(K^3) step: G, R, the reduction,
-the back-substitution and each ||D v||^2 use the Hankel and stencil
-structure and cost O(K^2) or O(K m).
+the top m are kept.  Either driver's tridiagonalization is the only O(K^3)
+step; G, the reduction and each ||D v||^2 cost O(K^2) or O(K m).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .embedding import TrajectoryMatrix
 
@@ -51,10 +50,6 @@ class GramMatrix:
             raise ValueError("Gram matrix must be symmetric")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,21 +90,23 @@ def gram(X: TrajectoryMatrix) -> GramMatrix:
     """X^T X by the Hankel lag recurrence: O(K^2) after one O(LK) first row.
 
     Row i of X is x[i : i + K], so G[i+1, j+1] = G[i, j] + x[L+i] x[L+j] - x[i] x[j]
-    (Korobeynikov, arXiv:0911.4498).  Both triangles read the same running
-    sums, so G is exactly symmetric.  Overflow raises NumericalError.
+    (Korobeynikov, arXiv:0911.4498).  Row 0 is the correlation of x with x[:L];
+    each later row is written whole from the one above, its first entry taken
+    from row 0, so G is exactly symmetric.  Overflow raises NumericalError.
     """
     L, K = X.data.shape
-    x = np.concatenate([X.data[:, 0], X.data[-1, 1:], np.zeros(K)])
-    W = sliding_window_view(x, K)  # W[t, d] = x[t + d], zero past the signal
-    H = np.empty((K, K))  # H[i, d] = G[i, i + d] wherever i + d < K
+    x = X.series
+    g = np.empty((K, K))
     with np.errstate(over="ignore", invalid="ignore"):
-        H[0] = x[:L] @ X.data
-        np.multiply(x[L:L + K - 1, None], W[L:L + K - 1], out=H[1:])
-        H[1:] -= x[:K - 1, None] * W[:K - 1]
-        np.cumsum(H, axis=0, out=H)
-    U = as_strided(H, shape=(K, K), strides=(H.strides[0] - H.strides[1], H.strides[1]))
-    g = np.where(np.arange(K)[:, None] <= np.arange(K), U, U.T.copy())
-    if not np.isfinite(g).all():
+        g[0] = np.correlate(x, x[:L], "valid")
+        g[1:, 0] = g[0, 1:]
+        for s in range(1, K, 64):  # the updates of 64 rows at a time, then one add per row
+            e = min(K, s + 64)
+            delta = np.multiply.outer(x[L + s - 1:L + e - 1], x[L:L + K - 1])
+            delta -= np.multiply.outer(x[s - 1:e - 1], x[:K - 1])
+            for i in range(s, e):
+                np.add(g[i - 1, :-1], delta[i - s], out=g[i, 1:])
+    if not np.isfinite([g.min(), g.max()]).all():  # inf or nan shows in the extremes
         raise NumericalError(f"Gram matrix overflows for signal magnitude {np.abs(x).max():.3g}")
     g.setflags(write=False)  # new and exactly symmetric: skip __post_init__'s copy and scan
     G = object.__new__(GramMatrix)
@@ -118,46 +115,44 @@ def gram(X: TrajectoryMatrix) -> GramMatrix:
 
 
 def diff_operator(order: int, K: int) -> np.ndarray:
-    """The read-only (K - order) x K finite-difference stencil matrix D.
-
-    Order 1 rows are [-1, 1] shifts, order 2 rows are [1, -2, 1]; every row
-    sums to zero, so constants (and affine vectors, for order 2) are
-    annihilated.  The order is D's column count minus its row count.
-    """
+    """The (K - order) x K stencil D in diagonal storage: row p of the read-only
+    (order + 1) x (K - order) result holds D[i, i + p].  D's rows are [-1, 1]
+    (order 1) or [1, -2, 1] (order 2) shifts, so they annihilate constants."""
     if order not in (1, 2):
         raise ValueError("difference order must be 1 or 2")
     if K < order + 1:
         raise ValueError(f"need K >= {order + 1} for order {order}, got K={K}")
-    D = np.diff(np.eye(K), n=order, axis=0)
+    D = np.repeat(np.diff(np.eye(order + 1), n=order, axis=0).T, K - order, axis=1)
     D.setflags(write=False)
     return D
 
 
-def _order(D: np.ndarray) -> int:
-    return D.shape[1] - D.shape[0]
-
-
 def smoothing_matrix(D: np.ndarray) -> np.ndarray:
-    """R = D^T D, the PSD roughness form: D's columns differenced by the adjoint
-    of D, (-1)^order * diff(pad(.)), in O(K^2) and bit-identical to the product."""
-    k = _order(D)
-    return (-1) ** k * np.diff(np.pad(D, ((k, k), (0, 0))), n=k, axis=0)
+    """R = D^T D in LAPACK upper band storage (R[j - d, j] at [order - d, j]).
+
+    R[i, i + d] sums the stencil products D[p] D[p + d] over the rows i - p
+    of D: order 1 gives [1, 2, ..., 2, 1] and -1, order 2 [1, 5, 6, ..., 6, 5, 1],
+    [-2, -4, ..., -4, -2] and 1.  The entries are small integers, so exact.
+    """
+    k, rows = D.shape[0] - 1, D.shape[1]
+    R = np.zeros((k + 1, rows + k))
+    for d in range(k + 1):
+        for p in range(k + 1 - d):
+            R[k - d, d + p:d + p + rows] += D[p] * D[p + d]
+    return R
 
 
 def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
-    """The read-only M = I + alpha * R.  alpha = 0 yields the identity exactly.
-
-    R is positive semi-definite, so the smallest eigenvalue of M is >= 1
-    for every alpha >= 0.  An alpha so large that M overflows raises
-    NumericalError.
-    """
+    """The read-only M = I + alpha * R in upper band storage, from R's band;
+    alpha = 0 yields the identity exactly, and M's eigenvalues are >= 1.  No
+    entry of R exceeds 4**order, so alpha * 4**order overflowing raises
+    NumericalError."""
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be finite and >= 0")
-    R = np.asarray(R, dtype=np.float64)  # finite, so 0 * R adds only zeros
-    with np.errstate(over="ignore"):
-        M = np.eye(R.shape[0]) + alpha * R
-    if not np.isfinite(M).all():
+    if not math.isfinite(alpha * 4.0 ** (R.shape[0] - 1)):
         raise NumericalError(f"M = I + alpha R overflows for alpha={alpha:.3g}")
+    M = alpha * R
+    M[-1] += 1.0
     M.setflags(write=False)
     return M
 
@@ -175,41 +170,35 @@ def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
 
 def solve_generalized(
     G: GramMatrix,
-    M: np.ndarray,
-    D: np.ndarray,
+    alpha: float,
+    order: int,
     eigen_floor: float = EIGEN_FLOOR_DEFAULT,
     n_pairs: int | None = None,
 ) -> EigenBasis:
-    """Solve ``G v = gamma M v`` for the top ``n_pairs`` eigenpairs (all K if None).
+    """Solve ``G v = gamma M v``, M = I + alpha D^T D with D the order-``order``
+    stencil, for the top ``n_pairs`` eigenpairs (all K if None).
 
-    M must lie in the band of R = D^T D (ValueError otherwise).  Its band
-    Cholesky factor, M = U^T U, reduces the problem to the symmetric
-    C = U^-T G U^-1 by two banded triangular solves in O(K^2 order), and
-    v = U^-1 y (Golub & Van Loan, Matrix Computations, 8.7).  With
-    m = min(K, n_pairs), C y = gamma y is solved for its m largest pairs by
-    syevr when 8 m <= K and otherwise by syevd, keeping the top m of its K
-    pairs; both return the same pairs, and the cheaper driver is picked.
-    Each vector is rescaled to unit Euclidean norm (reconstruction assumes
-    v^T v = 1); columns come back sorted by descending gamma, ties kept in
-    solver order.  A factorization or convergence failure raises
-    EigenSolverError.  Each roughness mu = ||D v||^2 is taken by
-    differencing v, in O(K m).
+    M is built in its band, and its band Cholesky factor, M = U^T U, reduces
+    the problem to the symmetric C = U^-T G U^-1 by two banded triangular
+    solves in O(K^2 order), and v = U^-1 y (Golub & Van Loan, Matrix
+    Computations, 8.7); G, the first solve's result and C are the only K x K
+    arrays.  With m = min(K, n_pairs), C y = gamma y is solved for its m
+    largest pairs by syevr when 8 m <= K and otherwise by syevd, keeping the
+    top m of its K pairs; both return the same pairs, and the cheaper driver
+    is picked.  Each vector is rescaled to unit Euclidean norm (reconstruction
+    assumes v^T v = 1); columns come back sorted by descending gamma, ties
+    kept in solver order.  A factorization or convergence failure raises
+    EigenSolverError.  Each roughness mu = ||D v||^2 is taken by differencing
+    v, in O(K m).
 
     Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
     """
-    K, k = G.dim, _order(D)
-    m = np.asarray(M, dtype=np.float64)
-    if m.shape != (K, K) or D.shape[1] != K:
-        raise ValueError("G, M and D must share one dimension")
-    if np.count_nonzero(m) != sum(np.count_nonzero(m.diagonal(d)) for d in range(-k, k + 1)):
-        raise ValueError(f"M has entries outside the band of an order-{k} stencil")
+    K = G.matrix.shape[0]
     if n_pairs is not None and n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     top = K if n_pairs is None else min(K, n_pairs)
-    band = np.zeros((k + 1, K))  # LAPACK upper band storage: band[k - d, d:] = diagonal d
-    for d in range(k + 1):
-        band[k - d, d:] = m.diagonal(d)
+    band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
     try:
         U = sla.cholesky_banded(band)
         # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
@@ -223,9 +212,9 @@ def solve_generalized(
             w, Y = sla.eigh(C, driver="evd", overwrite_a=True)
     except sla.LinAlgError as exc:
         raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")[:top]
-    w = w[order]
-    V = _band_solve(U, Y[:, order])
+    idx = np.argsort(-w, kind="stable")[:top]
+    w = w[idx]
+    V = _band_solve(U, Y[:, idx])
     V /= np.linalg.norm(V, axis=0, keepdims=True)
 
     gmax = float(w[0])
@@ -233,6 +222,6 @@ def solve_generalized(
     return EigenBasis(
         gammas=w,
         vectors=V,
-        mu=np.sum(np.diff(V, n=k, axis=0) ** 2, axis=0),
+        mu=np.sum(np.diff(V, n=order, axis=0) ** 2, axis=0),
         negligible=w < floor,
     )

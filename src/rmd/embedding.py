@@ -21,7 +21,9 @@ class TrajectoryMatrix:
     """L x K Hankel embedding of a series: row i is ``x[i : i + K]``.
 
     L = N - K + 1 windows of length K at unit delay, so every anti-diagonal
-    is constant.
+    is constant.  ``data`` is read-only.  From ``build_trajectory_matrix`` it
+    is a strided view of the series' frozen samples, so no L x K array is
+    stored; a matrix passed to the constructor is copied.
     """
 
     data: np.ndarray
@@ -41,6 +43,11 @@ class TrajectoryMatrix:
     @property
     def n_windows(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def series(self) -> np.ndarray:
+        """The N embedded samples: the first column, then the rest of the last row."""
+        return np.concatenate([self.data[:, 0], self.data[-1, 1:]])
 
 
 MIN_EMBEDDING_DIM = 4
@@ -72,12 +79,16 @@ def select_embedding_dimension(x: TimeSeries) -> int:
 
 
 def build_trajectory_matrix(x: TimeSeries, K: int) -> TrajectoryMatrix:
-    """Stack the N - K + 1 length-K sliding windows of the signal as rows."""
+    """The N - K + 1 length-K sliding windows of the signal as rows, a
+    read-only view of its samples (no copy)."""
     n = len(x)
     if not 2 <= K <= n - 1:
         raise ValueError(f"embedding dimension must satisfy 2 <= K <= N-1, got K={K}, N={n}")
-    data = sliding_window_view(x.samples, K)
-    return TrajectoryMatrix(data=data, n_samples=n, embedding_dim=K)
+    X = object.__new__(TrajectoryMatrix)  # the samples are frozen: skip the copy
+    for name, value in (("data", sliding_window_view(x.samples, K)),
+                        ("n_samples", n), ("embedding_dim", K)):
+        object.__setattr__(X, name, value)
+    return X
 
 
 def diagonal_average(m: np.ndarray, n_samples: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .embedding import (
     diagonal_average,  # noqa: F401  re-exported as rmd.modes.diagonal_average
     select_embedding_dimension,
 )
-from .eigen import (
+from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.modes.*
     EIGEN_FLOOR_DEFAULT,
     EigenBasis,
     NumericalError,
@@ -28,7 +28,7 @@ from .eigen import (
     smoothing_matrix,
     solve_generalized,
 )
-from .signals import TimeSeries, dominant_frequency, periodogram, write_timeseries_csv
+from .signals import TimeSeries, dominant_frequency, periodogram, unit_scaled, write_timeseries_csv
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
@@ -113,10 +113,8 @@ class ModeSet:
     warnings: tuple[str, ...] = field(default=())
 
     def reconstruct(self) -> TimeSeries:
-        total = self.residual.samples.copy()
-        for m in self.modes:
-            total += m.samples
-        return self.residual.with_samples(total)
+        return self.residual.with_samples(sum((m.samples for m in self.modes),
+                                              self.residual.samples))
 
 
 def _profile(V: np.ndarray, measure: str) -> np.ndarray:
@@ -239,15 +237,18 @@ def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains, groups) ->
     of column indices in ``groups``, one row each.
 
     Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], sample k
-    of the full convolution u * v.  One projection X V serves every group; a
+    of the full convolution u * v.  One projection X V serves every group: its
+    column u = X v is the correlation of the series with v, taken by DFT; a
     group's convolutions are summed as products of zero-padded DFTs, and the
     anti-diagonal counts finish the average without forming any L x K matrix.
     """
     cols = [m for g in groups for m in g]
-    W = V[:, cols]
-    n = X.n_samples
+    n, L = X.n_samples, X.n_windows
     nfft = 1 << (n - 1).bit_length()  # >= n, the length of u * v, so nothing wraps
-    spec = np.fft.rfft((X.data @ W) * gains[cols], nfft, axis=0) * np.fft.rfft(W, nfft, axis=0)
+    FW = np.fft.rfft(V[:, cols], nfft, axis=0)
+    # u[i] = sum_j x[i + j] v[j]: lags i < L never meet the wrapped negative lags
+    XW = np.fft.irfft(np.fft.rfft(X.series, nfft)[:, None] * FW.conj(), nfft, axis=0)[:L]
+    spec = np.fft.rfft(XW * gains[cols], nfft, axis=0) * FW
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     sums = np.fft.irfft(spec @ (owner[:, None] == np.arange(len(groups))), nfft, axis=0)[:n]
     k = np.arange(n)
@@ -276,8 +277,8 @@ def reconstruct_mode(
 
 def _unit_scale(x: TimeSeries) -> tuple[TimeSeries, int]:
     """x / 2**s with max|x| / 2**s in [0.5, 1), and s."""
-    shift = math.frexp(float(np.abs(x.samples).max()))[1]
-    return x.with_samples(np.ldexp(x.samples, -shift)), shift
+    xs, shift = unit_scaled(x.samples)
+    return x.with_samples(xs), shift
 
 
 def _scale_back(
@@ -296,7 +297,9 @@ def _scale_back(
     _verify_completeness(xs.samples, parts, residual)
     report = []
     for samples, (gamma, mu, energy, members) in zip(parts, stats):
-        peak = dominant_frequency(periodogram(xs.with_samples(samples))) if np.any(samples) else None
+        spec = periodogram(xs.with_samples(samples))
+        # a mode whose 0 Hz bin is its strongest reports a 0.0 Hz peak
+        peak = 0.0 if 0.0 < spec.power[0] >= spec.power.max() else dominant_frequency(spec)
         with np.errstate(over="ignore"):
             gamma, energy = np.ldexp([gamma, energy], 2 * shift)
         report.append(ModeReport(gamma=float(gamma), mu=mu, energy=float(energy),
@@ -337,9 +340,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     X = build_trajectory_matrix(xs, K)
     G = gram(X)
-    D = diff_operator(config.diff_order, K)
-    M = augmented(smoothing_matrix(D), config.alpha)
-    basis = solve_generalized(G, M, D, eigen_floor=config.eigen_floor,
+    basis = solve_generalized(G, config.alpha, config.diff_order, eigen_floor=config.eigen_floor,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)
 
     clusters, _ = cluster_and_merge(basis, config)
@@ -359,23 +360,11 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
         x, xs, shift, [parts[i] for i in order], [stats[i] for i in order]
     )
 
-    warnings = ()
-    if len(modes) < config.n_modes:
-        warnings = (
-            f"requested {config.n_modes} modes but only {len(modes)} "
-            f"cluster(s) were available",
-        )
-
+    warnings = () if len(modes) >= config.n_modes else (
+        f"requested {config.n_modes} modes but only {len(modes)} cluster(s) were available",)
     _verify_variance_ratio(report, config.alpha)
-    return ModeSet(
-        modes=modes,
-        residual=residual,
-        report=report,
-        config=config,
-        embedding_dim=K,
-        method="rmd",
-        warnings=warnings,
-    )
+    return ModeSet(modes=modes, residual=residual, report=report, config=config,
+                   embedding_dim=K, method="rmd", warnings=warnings)
 
 
 def _verify_completeness(x: np.ndarray, modes, residual: np.ndarray,
@@ -383,9 +372,7 @@ def _verify_completeness(x: np.ndarray, modes, residual: np.ndarray,
     # The residual is x - sum(modes), so this holds by construction up to the
     # rounding of that sum; it cannot catch a wrongly reconstructed mode (the
     # outer-product oracles in tests/test_modes.py do that).
-    total = residual.copy()
-    for m in modes:
-        total += m
+    total = sum(modes, residual)
     scale = float(np.abs(x).max())
     err = float(np.abs(total - x).max())
     if err > rel_tol * max(scale, 1e-300):
@@ -425,19 +412,10 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
     parts = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
     stats = [(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1) for i in range(r)]
     modes, residual, report = _scale_back(x, xs, shift, list(parts), stats)
-    config = DecompositionConfig(
-        n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
-        similarity="cosine", K_override=K,
-    )
-    return ModeSet(
-        modes=modes,
-        residual=residual,
-        report=report,
-        config=config,
-        embedding_dim=K,
-        method="ssa",
-        warnings=warnings,
-    )
+    config = DecompositionConfig(n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
+                                 similarity="cosine", K_override=K)
+    return ModeSet(modes=modes, residual=residual, report=report, config=config,
+                   embedding_dim=K, method="ssa", warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,14 @@ def gen_am_mixture(
     return TimeSeries(am + carrier2 + carrier3, sample_rate), parts
 
 
+def unit_scaled(samples: np.ndarray) -> tuple[np.ndarray, int]:
+    """samples / 2**s with max|samples| / 2**s in [0.5, 1) (s = 0 for zeros), and s.
+    The scaling is exact, so powers taken on the result cannot overflow and
+    scale back exactly."""
+    shift = math.frexp(float(np.abs(samples).max()))[1]
+    return np.ldexp(samples, -shift), shift
+
+
 def add_noise_at_snr(
     x: TimeSeries, snr_db: float, seed: int
 ) -> tuple[TimeSeries, TimeSeries]:
@@ -197,8 +205,8 @@ def add_noise_at_snr(
     (noisy, noise) : tuple of TimeSeries
         ``noisy = x + noise`` element-wise.
     """
-    shift = math.frexp(float(np.abs(x.samples).max()))[1]
-    power = float(np.mean(np.ldexp(x.samples, -shift) ** 2))
+    scaled, shift = unit_scaled(x.samples)
+    power = float(np.mean(scaled**2))
     if power == 0.0:
         raise ValueError("signal has zero power; SNR is undefined")
     sigma = math.ldexp(math.sqrt(power / 10.0 ** (snr_db / 10.0)), shift)
@@ -260,16 +268,19 @@ def score_mode(candidate: TimeSeries, truth: TimeSeries) -> ModeMetrics:
 
     Eigenvector sign is arbitrary, so the candidate's sign is chosen to
     maximize the Pearson correlation; the correlation is reported as an
-    absolute value and the RMSE is computed after that alignment.
+    absolute value and the RMSE is computed after that alignment.  Both are
+    scored on the pair's ``unit_scaled`` samples and the RMSE scaled back, so
+    any finite magnitude scores without overflow.
     """
     if len(candidate) != len(truth) or candidate.sample_rate != truth.sample_rate:
         raise ValueError("candidate and truth must share length and sample rate")
+    (a, b), shift = unit_scaled(np.stack([candidate.samples, truth.samples]))
     # rounding can push a perfect correlation a ULP past 1
-    r = max(-1.0, min(1.0, pearson(candidate.samples, truth.samples)))
+    r = max(-1.0, min(1.0, pearson(a, b)))
     sign = -1.0 if r < 0 else 1.0
-    aligned = sign * candidate.samples
-    rmse = float(np.sqrt(np.mean((aligned - truth.samples) ** 2)))
-    peak = dominant_frequency(periodogram(candidate))
+    with np.errstate(over="ignore"):  # an RMSE past the float64 range reads inf
+        rmse = float(np.ldexp(np.sqrt(np.mean((sign * a - b) ** 2)), shift))
+    peak = dominant_frequency(periodogram(candidate.with_samples(a)))
     return ModeMetrics(peak_frequency=peak, correlation=abs(r), rmse=rmse)
 
 

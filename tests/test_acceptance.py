@@ -14,13 +14,7 @@ import pytest
 
 from rmd.bench import ExperimentSpec, run_experiment
 from rmd.cli import main as cli_main
-from rmd.eigen import (
-    GramMatrix,
-    augmented,
-    diff_operator,
-    smoothing_matrix,
-    solve_generalized,
-)
+from rmd.eigen import GramMatrix, solve_generalized
 from rmd.embedding import build_trajectory_matrix, diagonal_average
 from rmd.modes import DecompositionConfig, rmd_decompose
 from rmd.signals import (
@@ -46,6 +40,11 @@ def report(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
+
+
+def oracle_diff_operator(order: int, k: int) -> np.ndarray:
+    """The dense (k - order) x k stencil D; the library keeps it in diagonal storage."""
+    return np.diff(np.eye(k), n=order, axis=0)
 
 
 def oracle_diagonal_average(m: np.ndarray) -> np.ndarray:
@@ -125,12 +124,12 @@ def test_criterion_03_generalized_eigen_contracts(capsys):
         k = int(rng.integers(4, 65))
         w = rng.standard_normal((k + 3, k))
         G = GramMatrix(w.T @ w)
-        D = diff_operator(1, k)
-        R = smoothing_matrix(D)
+        D = oracle_diff_operator(1, k)
+        R = D.T @ D
         prev = None
         for alpha in alphas:
-            M = augmented(R, alpha)
-            basis = solve_generalized(G, M, D)
+            M = np.eye(k) + alpha * R
+            basis = solve_generalized(G, alpha, 1)
             V = basis.vectors
             MV = M @ V
             mnorm = np.sqrt(np.einsum("ki,ki->i", V, MV))
@@ -162,8 +161,8 @@ def test_criterion_04_rank1_roughness_identity(capsys):
         u = rng.standard_normal(L)
         u /= np.linalg.norm(u)
         v = rng.standard_normal(k)
-        D = diff_operator(order, k)
-        R = smoothing_matrix(D)
+        D = oracle_diff_operator(order, k)
+        R = D.T @ D
         frob = float(np.linalg.norm(D @ np.outer(u, v).T, "fro") ** 2)
         quad = float(v @ R @ v)
         worst = max(worst, abs(frob - quad) / max(abs(quad), 1e-300))

@@ -12,7 +12,7 @@ from rmd.bench import (
     run_experiment,
     write_report,
 )
-from rmd.eigen import augmented, diff_operator, gram, smoothing_matrix, solve_generalized
+from rmd.eigen import gram, solve_generalized
 from rmd.embedding import build_trajectory_matrix
 from rmd.modes import DecompositionConfig, _unit_scale, cluster_and_merge
 from rmd.signals import (
@@ -129,6 +129,27 @@ class TestSineExperiment:
         b = run_experiment(spec)
         assert a.spec == b.spec
         assert all(x.same_but_timing(y) for x, y in zip(a.cells, b.cells))
+
+    # runs under the suite's error::RuntimeWarning filter: an overflow in the
+    # scoring would fail the cell
+    def test_huge_amplitudes_score_like_unit_ones(self):
+        kw = dict(frequencies_hz=(2.0, 19.0), snr_db=(0.0,), seeds=(0,), embedding_dim=40,
+                  configs=(DecompositionConfig(alpha=1.0, n_modes=2),))
+        huge = run_experiment(sine_spec(amplitudes=(1e200, 3e200), **kw)).cells[0]
+        assert huge.success, huge.error
+        assert [s.true_freq_hz for s in huge.scores] == [2.0, 19.0]
+        assert all(s.peak_freq_hz == s.true_freq_hz and s.within_peak_tol for s in huge.scores)
+        assert all(0 < s.rmse < np.inf for s in huge.scores)
+        # a power-of-two amplitude scales every input exactly: scores are equal,
+        # and the RMSE scales back bit for bit
+        c = 2.0**660
+        unit = run_experiment(sine_spec(amplitudes=(1.0, 3.0), **kw)).cells[0]
+        scaled = run_experiment(sine_spec(amplitudes=(c, 3 * c), **kw)).cells[0]
+        assert scaled.mode_peaks_hz == unit.mode_peaks_hz
+        for s, u in zip(scaled.scores, unit.scores):
+            assert (s.true_freq_hz, s.mode_index, s.peak_freq_hz, s.correlation) == (
+                u.true_freq_hz, u.mode_index, u.peak_freq_hz, u.correlation)
+            assert s.rmse == c * u.rmse
 
 
 class TestNonlinearExperiment:
@@ -282,8 +303,7 @@ class TestTruncatedBasisOnBundledSpecs:
     @staticmethod
     def members(xs, config, K, n_pairs):
         tm = build_trajectory_matrix(xs, K)
-        D = diff_operator(config.diff_order, K)
-        basis = solve_generalized(gram(tm), augmented(smoothing_matrix(D), config.alpha), D,
+        basis = solve_generalized(gram(tm), config.alpha, config.diff_order,
                                   eigen_floor=config.eigen_floor, n_pairs=n_pairs)
         return [c.member_indices for c in cluster_and_merge(basis, config)[0]]
 

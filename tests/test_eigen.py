@@ -26,10 +26,46 @@ def random_psd(rng, k):
     return GramMatrix(w.T @ w)
 
 
-def solve_for(G, alpha, order=1, K=None):
-    K = K or G.dim
-    D = diff_operator(order, K)
-    return solve_generalized(G, augmented(smoothing_matrix(D), alpha), D)
+def solve_for(G, alpha, order=1):
+    return solve_generalized(G, alpha, order)
+
+
+# Test-local dense oracles: the library builds D, R and M in diagonal or band
+# storage only.
+def dense_D(order, K):
+    return np.diff(np.eye(K), n=order, axis=0)
+
+
+def dense_M(order, K, alpha):
+    D = dense_D(order, K)
+    return np.eye(K) + alpha * (D.T @ D)
+
+
+def from_diagonals(Dd):
+    """The dense (K - order) x K matrix whose D[i, i + p] is Dd[p, i]."""
+    k, rows = Dd.shape[0] - 1, Dd.shape[1]
+    D = np.zeros((rows, rows + k))
+    for p in range(k + 1):
+        D[np.arange(rows), np.arange(rows) + p] = Dd[p]
+    return D
+
+
+def from_band(band):
+    """The dense symmetric matrix held in LAPACK upper band storage."""
+    k, K = band.shape[0] - 1, band.shape[1]
+    A = np.zeros((K, K))
+    for d in range(k + 1):
+        A[np.arange(K - d), np.arange(d, K)] = band[k - d, d:]
+        A[np.arange(d, K), np.arange(K - d)] = band[k - d, d:]
+    return A
+
+
+def upper_band(A, k):
+    """LAPACK upper band storage of the k-diagonal band of a dense matrix."""
+    band = np.zeros((k + 1, A.shape[0]))
+    for d in range(k + 1):
+        band[k - d, d:] = A.diagonal(d)
+    return band
 
 
 class TestGram:
@@ -82,25 +118,25 @@ class TestGram:
 
 class TestDiffOperator:
     def test_order1_k3(self):
-        D = diff_operator(1, 3)
+        D = from_diagonals(diff_operator(1, 3))
         np.testing.assert_array_equal(D, [[-1, 1, 0], [0, -1, 1]])
 
     def test_order2_k4(self):
-        D = diff_operator(2, 4)
+        D = from_diagonals(diff_operator(2, 4))
         np.testing.assert_array_equal(D, [[1, -2, 1, 0], [0, 1, -2, 1]])
 
     def test_constant_annihilated(self):
-        D = diff_operator(1, 3)
+        D = from_diagonals(diff_operator(1, 3))
         np.testing.assert_array_equal(D @ np.array([5.0, 5.0, 5.0]), [0.0, 0.0])
 
     def test_order2_annihilates_affine(self):
-        D = diff_operator(2, 6)
+        D = from_diagonals(diff_operator(2, 6))
         v = 3.0 * np.arange(6) + 1.5
         np.testing.assert_allclose(D @ v, 0.0, atol=1e-12)
 
     def test_rows_sum_to_zero(self):
         for order in (1, 2):
-            D = diff_operator(order, 9)
+            D = from_diagonals(diff_operator(order, 9))
             np.testing.assert_allclose(D.sum(axis=1), 0.0, atol=1e-15)
 
     def test_k_too_small(self):
@@ -110,13 +146,17 @@ class TestDiffOperator:
             diff_operator(3, 5)
 
 
+def dense_R(order, K):
+    return from_band(smoothing_matrix(diff_operator(order, K)))
+
+
 class TestSmoothingMatrix:
     def test_order1_k3_hand_product(self):
-        R = smoothing_matrix(diff_operator(1, 3))
+        R = dense_R(1, 3)
         np.testing.assert_array_equal(R, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_constant_null_space(self):
-        R = smoothing_matrix(diff_operator(1, 7))
+        R = dense_R(1, 7)
         np.testing.assert_allclose(R @ np.ones(7), 0.0, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
@@ -125,37 +165,37 @@ class TestSmoothingMatrix:
         rng = np.random.default_rng(seed)
         K = int(rng.integers(order + 1, 16))
         v = rng.standard_normal(K)
-        D = diff_operator(order, K)
-        R = smoothing_matrix(D)
+        D = dense_D(order, K)
+        R = dense_R(order, K)
         assert v @ R @ v == pytest.approx(np.linalg.norm(D @ v) ** 2, abs=1e-12)
 
     def test_psd(self, rng):
         for order in (1, 2):
-            R = smoothing_matrix(diff_operator(order, 12))
+            R = dense_R(order, 12)
             assert np.min(np.linalg.eigvalsh(R)) >= -1e-12
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_bit_identical_to_dense_product(self, order):
         for K in [*range(order + 1, 41), 200, 682]:
-            D = diff_operator(order, K)
-            assert np.array_equal(smoothing_matrix(D), D.T @ D)
+            D = dense_D(order, K)
+            assert np.array_equal(dense_R(order, K), D.T @ D)
 
 
 class TestAugmented:
     def test_alpha_zero_is_exactly_identity(self):
         R = smoothing_matrix(diff_operator(1, 5))
-        M = augmented(R, 0.0)
+        M = from_band(augmented(R, 0.0))
         assert np.array_equal(M, np.eye(5))
 
     def test_k2_alpha1(self):
         R = smoothing_matrix(diff_operator(1, 2))
-        M = augmented(R, 1.0)
+        M = from_band(augmented(R, 1.0))
         np.testing.assert_array_equal(M, [[2, -1], [-1, 2]])
 
     def test_min_eigenvalue_at_least_one(self, rng):
         R = smoothing_matrix(diff_operator(1, 10))
         for alpha in (0.0, 0.3, 2.0, 50.0):
-            M = augmented(R, alpha)
+            M = from_band(augmented(R, alpha))
             assert np.min(np.linalg.eigvalsh(M)) >= 1.0 - 1e-10
 
     def test_bad_alpha(self):
@@ -164,6 +204,39 @@ class TestAugmented:
             augmented(R, -0.1)
         with pytest.raises(ValueError):
             augmented(R, math.nan)
+
+
+class TestClosedFormBand:
+    """M's band, built without any K x K array, against a dense I + alpha D^T D."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 8.0])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_band_equals_dense_oracle(self, order, alpha):
+        for K in range(order + 1, 41):
+            band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
+            assert band.shape == (order + 1, K) and not band.flags.writeable
+            assert np.array_equal(band, upper_band(dense_M(order, K, alpha), order))
+
+    def test_interior_stencils(self):
+        np.testing.assert_array_equal(smoothing_matrix(diff_operator(1, 6)),
+                                      [[0, -1, -1, -1, -1, -1], [1, 2, 2, 2, 2, 1]])
+        np.testing.assert_array_equal(smoothing_matrix(diff_operator(2, 6)),
+                                      [[0, 0, 1, 1, 1, 1], [0, -2, -4, -4, -4, -2],
+                                       [1, 5, 6, 6, 5, 1]])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_overflowing_alpha_raises(self, order):
+        R = smoothing_matrix(diff_operator(order, 8))
+        with pytest.raises(NumericalError, match="overflows"):
+            augmented(R, 1e308)
+        with pytest.raises(NumericalError):
+            solve_generalized(GramMatrix(np.eye(8)), 1e308, order)
+
+    def test_overflow_bound_is_per_order(self):
+        # alpha * 4 is finite, alpha * 16 is not
+        assert np.isfinite(augmented(smoothing_matrix(diff_operator(1, 8)), 2e307)).all()
+        with pytest.raises(NumericalError):
+            augmented(smoothing_matrix(diff_operator(2, 8)), 2e307)
 
 
 class TestSolveGeneralized:
@@ -178,8 +251,7 @@ class TestSolveGeneralized:
         # G = 2I with M = [[2,-1],[-1,2]]: M(1,1)^T = (1,1)^T so gamma = 2,
         # M(1,-1)^T = 3(1,-1)^T so gamma = 2/3
         G = GramMatrix(2.0 * np.eye(2))
-        D = diff_operator(1, 2)
-        basis = solve_generalized(G, augmented(smoothing_matrix(D), 1.0), D)
+        basis = solve_generalized(G, 1.0, 1)
         np.testing.assert_allclose(basis.gammas, [2.0, 2.0 / 3.0], rtol=1e-12)
         s = 1 / math.sqrt(2)
         got = np.abs(basis.vectors)
@@ -218,18 +290,17 @@ class TestSolveGeneralized:
         # ||D v||^2 by differencing against the dense v^T R v
         for K in (order + 1, 30, 200):
             G = random_psd(rng, K)
-            D = diff_operator(order, K)
-            R = smoothing_matrix(D)
-            basis = solve_generalized(G, augmented(R, 1.5), D)
+            D = dense_D(order, K)
+            R = D.T @ D
+            basis = solve_generalized(G, 1.5, order)
             V = basis.vectors
             np.testing.assert_allclose(basis.mu, np.einsum("ki,ki->i", V, R @ V),
                                        rtol=0, atol=1e-12)
 
     def test_m_orthogonality(self, rng):
         G = random_psd(rng, 12)
-        D = diff_operator(1, 12)
-        M = augmented(smoothing_matrix(D), 2.5)
-        basis = solve_generalized(G, M, D)
+        M = dense_M(1, 12, 2.5)
+        basis = solve_generalized(G, 2.5, 1)
         V = basis.vectors
         MV = M @ V
         mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
@@ -248,8 +319,8 @@ class TestSolveGeneralized:
         # ||D (u v^T)^T||_F^2 == v^T R v for unit u, direct Frobenius oracle
         for order in (1, 2):
             K, L = 14, 20
-            D = diff_operator(order, K)
-            R = smoothing_matrix(D)
+            D = dense_D(order, K)
+            R = D.T @ D
             for _ in range(10):
                 u = rng.standard_normal(L)
                 u /= np.linalg.norm(u)
@@ -274,7 +345,7 @@ class TestSolveGeneralized:
 
     def test_negligible_flagging(self):
         G = GramMatrix(np.diag([1.0, 1e-20, 0.0]))
-        basis = solve_for(G, alpha=0.0, K=3)
+        basis = solve_for(G, alpha=0.0)
         assert basis.negligible.tolist() == [False, True, True]
 
     def test_shrink_weights(self, rng):
@@ -293,9 +364,8 @@ class TestSolveGeneralized:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((int(rng.integers(1, K + 6)), K))  # rank-deficient too
         G = GramMatrix(w.T @ w)
-        D = diff_operator(order, K)
-        M = augmented(smoothing_matrix(D), alpha)
-        basis = solve_generalized(G, M, D)
+        M = dense_M(order, K, alpha)
+        basis = solve_generalized(G, alpha, order)
         dense = sla.eigh(G.matrix, M, eigvals_only=True)[::-1]
         assert np.abs(basis.gammas - dense).max() <= 1e-10 * np.abs(dense).max()
         V = basis.vectors
@@ -305,19 +375,12 @@ class TestSolveGeneralized:
         np.fill_diagonal(cross, 0.0)
         assert cross.max() <= 1e-8
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_entry_outside_the_band_rejected(self, order):
-        D = diff_operator(order, 6)
-        m = augmented(smoothing_matrix(D), 1.0).copy()
-        m[0, order + 1] = m[order + 1, 0] = 0.1  # symmetric, still positive definite
-        with pytest.raises(ValueError, match="band"):
-            solve_generalized(GramMatrix(np.eye(6)), m, D)
-
     def test_cholesky_failure_surfaces(self):
+        # 1 + alpha rounds to alpha, so M = I + alpha R is the singular alpha R in
+        # float64; a power of 4 makes the last Cholesky pivot exactly 0
         G = GramMatrix(np.eye(2))
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(EigenSolverError):
-            solve_generalized(G, bad, diff_operator(1, 2))
+            solve_generalized(G, 2.0**1000, 1)
 
     def test_basis_copies_its_arrays(self, rng):
         basis = solve_for(random_psd(rng, 6), alpha=0.5)
@@ -328,10 +391,10 @@ class TestSolveGeneralized:
         assert not copy.vectors.flags.writeable
 
     def test_dimension_mismatch(self):
-        G = GramMatrix(np.eye(3))
-        D = diff_operator(1, 2)
+        # a 2 x 2 Gram matrix has no room for the order-2 stencil
+        G = GramMatrix(np.eye(2))
         with pytest.raises(ValueError):
-            solve_generalized(G, augmented(smoothing_matrix(D), 1.0), D)
+            solve_generalized(G, 1.0, 2)
 
 
 class TestTruncatedSolve:
@@ -357,11 +420,9 @@ class TestTruncatedSolve:
     @pytest.mark.parametrize("order", [1, 2])
     def test_subset_equals_top_of_full_solve(self, rng, monkeypatch, K, m, driver, order):
         G = random_psd(rng, K)
-        D = diff_operator(order, K)
-        M = augmented(smoothing_matrix(D), 1.5)
-        full = solve_generalized(G, M, D)
+        full = solve_generalized(G, 1.5, order)
         drivers = self.solve_spy(monkeypatch)
-        top = solve_generalized(G, M, D, n_pairs=m)
+        top = solve_generalized(G, 1.5, order, n_pairs=m)
         assert drivers == [driver]
         assert top.vectors.shape == (K, m) and len(top) == m
         assert np.abs(top.gammas - full.gammas[:m]).max() <= 1e-12 * full.gammas[0]
@@ -373,9 +434,8 @@ class TestTruncatedSolve:
     @pytest.mark.parametrize("K, m", [(200, 16), (200, 64)])
     def test_contracts_hold_on_the_returned_pairs(self, rng, K, m):
         G = random_psd(rng, K)
-        D = diff_operator(1, K)
-        M = augmented(smoothing_matrix(D), 2.5)
-        basis = solve_generalized(G, M, D, n_pairs=m)
+        M = dense_M(1, K, 2.5)
+        basis = solve_generalized(G, 2.5, 1, n_pairs=m)
         V = basis.vectors
         MV = M @ V
         mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
@@ -389,19 +449,15 @@ class TestTruncatedSolve:
 
     def test_m_at_least_k_is_the_full_basis(self, rng):
         G = random_psd(rng, 12)
-        D = diff_operator(2, 12)
-        M = augmented(smoothing_matrix(D), 0.7)
-        full = solve_generalized(G, M, D)
+        full = solve_generalized(G, 0.7, 2)
         for m in (12, 13, 100):
-            basis = solve_generalized(G, M, D, n_pairs=m)
+            basis = solve_generalized(G, 0.7, 2, n_pairs=m)
             for name in ("gammas", "vectors", "mu", "negligible"):
                 assert np.array_equal(getattr(basis, name), getattr(full, name))
 
     def test_n_pairs_below_one_rejected(self):
-        D = diff_operator(1, 4)
         with pytest.raises(ValueError, match="n_pairs"):
-            solve_generalized(GramMatrix(np.eye(4)), augmented(smoothing_matrix(D), 1.0), D,
-                              n_pairs=0)
+            solve_generalized(GramMatrix(np.eye(4)), 1.0, 1, n_pairs=0)
 
     def test_basis_of_m_columns(self, rng):
         basis = solve_for(random_psd(rng, 6), alpha=0.5)

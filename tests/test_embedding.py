@@ -77,6 +77,17 @@ class TestBuildTrajectoryMatrix:
             d = np.diagonal(flipped, offset=off)
             assert np.all(d == d[0])
 
+    def test_data_is_a_read_only_view_of_the_samples(self):
+        x = TimeSeries(np.arange(10.0), 1.0)
+        tm = build_trajectory_matrix(x, 4)
+        assert np.shares_memory(tm.data, x.samples)
+        assert not tm.data.flags.writeable
+        np.testing.assert_array_equal(tm.series, x.samples)
+        # built directly, the matrix is copied and frozen
+        a = np.array(tm.data)
+        direct = TrajectoryMatrix(data=a, n_samples=10, embedding_dim=4)
+        assert not np.shares_memory(direct.data, a) and not direct.data.flags.writeable
+
     def test_shape_consistency_enforced(self):
         with pytest.raises(ValueError):
             TrajectoryMatrix(data=np.zeros((3, 2)), n_samples=99, embedding_dim=2)

@@ -1,18 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmd.eigen import (
-    EigenBasis,
-    augmented,
-    diff_operator,
-    gram,
-    smoothing_matrix,
-    solve_generalized,
-)
+from rmd.eigen import EigenBasis, gram, solve_generalized
 from rmd.embedding import TrajectoryMatrix, build_trajectory_matrix, diagonal_average
 from rmd.modes import (
     SIMILARITY_MEASURES,
@@ -166,8 +160,7 @@ class TestClusterAndMerge:
     def test_quadrature_pair_of_tone_merges_with_spectral(self):
         tone, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)
         tm = build_trajectory_matrix(tone, 48)
-        D = diff_operator(1, 48)
-        basis = solve_generalized(gram(tm), augmented(smoothing_matrix(D), 0.3), D)
+        basis = solve_generalized(gram(tm), 0.3, 1)
         cfg = DecompositionConfig(n_modes=1, similarity="spectral")
         clusters, _ = cluster_and_merge(basis, cfg)
         assert len(clusters) == 1
@@ -388,6 +381,35 @@ class TestRmdDecompose:
             assert rb.gamma == pytest.approx(c * (c * ra.gamma), rel=1e-9)  # inf past 1e308
             assert rb.peak_frequency_hz == ra.peak_frequency_hz
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_peak_allocation_at_k682(self, order):
+        # G, the reduction's intermediate and C are the only K x K arrays: the
+        # traced peak of one N=2048, K=682 decompose stays within 4 K^2 doubles
+        t = np.arange(2048) / 100.0
+        tones = np.sin(2 * np.pi * 0.3 * t + 1.0) + 0.5 * np.sin(2 * np.pi * 1.2 * t + 2.0)
+        x = add_noise_at_snr(TimeSeries(tones, 100.0), 0.0, 0)[0]
+        cfg = DecompositionConfig(n_modes=4, alpha=2.0, diff_order=order, K_override=682)
+        rmd_decompose(x, cfg)  # settle lazy imports and caches first
+        tracemalloc.start()
+        try:
+            rmd_decompose(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 682**2 * 8, f"peak {peak / (682**2 * 8):.2f} K^2 doubles"
+
+    def test_dc_dominated_mode_peaks_at_zero(self):
+        # a constant offset under a 5 Hz tone: the offset's mode reports 0.0 Hz,
+        # while the K heuristic still reads the strongest non-DC bin
+        t = np.arange(400) / 50.0
+        x = TimeSeries(4.0 + np.sin(2 * np.pi * 5.0 * t), 50.0)
+        ms = rmd_decompose(x, DecompositionConfig(n_modes=2, alpha=0.1, merge_threshold=0.5))
+        assert ms.embedding_dim == 12  # round(1.2 * 50 / 5)
+        assert sorted(e.peak_frequency_hz for e in ms.report) == [0.0, 5.0]
+        constant = rmd_decompose(x.with_samples(np.full(400, 3.0)),
+                                 DecompositionConfig(n_modes=1, K_override=10))
+        assert [e.peak_frequency_hz for e in constant.report] == [0.0]
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             rmd_decompose(TimeSeries(np.arange(8, dtype=float), 1.0),
@@ -401,9 +423,7 @@ class TestRmdDecompose:
 
 def solve_basis(x, K, alpha, order, n_pairs=None):
     tm = build_trajectory_matrix(x, K)
-    D = diff_operator(order, K)
-    return tm, solve_generalized(gram(tm), augmented(smoothing_matrix(D), alpha), D,
-                                 n_pairs=n_pairs)
+    return tm, solve_generalized(gram(tm), alpha, order, n_pairs=n_pairs)
 
 
 def naive_clusters(basis, cfg):
