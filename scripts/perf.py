@@ -7,12 +7,17 @@ Cases:
   long_window  0.3 + 1.2 Hz tones in 0 dB noise, N=2048, K=682, r=4
   sine_snr     specs/sine_snr.json through run_experiment and write_report
   nonlinear    specs/nonlinear.json through run_experiment and write_report
+  cli_file     rmd.cli.main(["decompose", f, "-r", "3", "--out", d]), stdout
+               captured, on a 1.5 + 3.75 Hz two-tone file in 0 dB noise, N=2500
+               at 100 Hz, with its sample-rate sidecar
+  cli_file_read   read_timeseries_csv of that file
+  cli_file_write  write_modeset of its decomposition (mode and residual CSVs, JSON)
 
 It times whichever ``rmd`` package the interpreter imports, so the same script
 measures any checkout:
 
-  PYTHONPATH=src python scripts/perf.py --label change --out BENCH_7.json
-  PYTHONPATH=../parent/src python scripts/perf.py --label parent --out BENCH_7.json
+  PYTHONPATH=src python scripts/perf.py --label change --out BENCH_8.json
+  PYTHONPATH=../parent/src python scripts/perf.py --label parent --out BENCH_8.json
 
 Each call appends one run (label, BLAS vendor, thread setting, core count and
 per-case median, quartiles and sample count, in ms) to the ``runs`` list of
@@ -25,6 +30,8 @@ unless OPENBLAS_NUM_THREADS is already set.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -41,8 +48,15 @@ def _cases(out: Path):
     import numpy as np
 
     from rmd.bench import ExperimentSpec, run_experiment, write_report
-    from rmd.modes import DecompositionConfig, rmd_decompose
-    from rmd.signals import SineComponent, TimeSeries, add_noise_at_snr, gen_sinusoid_mixture
+    from rmd.cli import main
+    from rmd.modes import DecompositionConfig, rmd_decompose, write_modeset
+    from rmd.signals import (
+        SineComponent,
+        TimeSeries,
+        add_noise_at_snr,
+        gen_sinusoid_mixture,
+        read_timeseries_csv,
+    )
 
     mixture, _ = gen_sinusoid_mixture(
         [SineComponent(2.0, 3.0), SineComponent(5.0, 0.5), SineComponent(19.0, 4.0)],
@@ -61,12 +75,30 @@ def _cases(out: Path):
     def sweep(name):
         return lambda: write_report(run_experiment(specs[name]), out / name)
 
+    # written as plain text, so every version under test reads the same bytes
+    t = np.arange(2500) / 100.0
+    tones = np.sin(2 * np.pi * 1.5 * t + 0.5) + 0.7 * np.sin(2 * np.pi * 3.75 * t + 1.5)
+    signal = add_noise_at_snr(TimeSeries(tones, 100.0), 0.0, 1)[0]
+    csv = out / "cli_file.csv"
+    csv.write_text("value\n" + "".join(f"{v!r}\n" for v in signal.samples.tolist()))
+    csv.with_suffix(".json").write_text(json.dumps({"sample_rate_hz": 100.0}) + "\n")
+    argv = ["decompose", str(csv), "-r", "3", "--out", str(out / "cli_file_out")]
+    modeset = rmd_decompose(read_timeseries_csv(csv, 100.0), DecompositionConfig(n_modes=3))
+
+    def cli_file():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(argv) != 0:
+                raise RuntimeError(f"rmd {' '.join(argv)} failed")
+
     return {
         "minus5db": (lambda: rmd_decompose(m5, cfg5), 15),
         "minus15db": (lambda: rmd_decompose(m15, cfg15), 15),
         "long_window": (lambda: rmd_decompose(radar, cfg_long), 15),
         "sine_snr": (sweep("sine_snr"), 7),
         "nonlinear": (sweep("nonlinear"), 7),
+        "cli_file": (cli_file, 25),
+        "cli_file_read": (lambda: read_timeseries_csv(csv, 100.0), 25),
+        "cli_file_write": (lambda: write_modeset(modeset, out / "cli_file_write"), 25),
     }
 
 

@@ -265,30 +265,30 @@ class ExperimentReport:
         )
 
 
-def _unit_scaled(truths: list[TimeSeries]) -> list[TimeSeries]:
-    # one exact power-of-two scale for all truths keeps their peaks and RMS order
+def _truth_profile(truths: list[TimeSeries]) -> tuple[list[float | None], np.ndarray]:
+    """Each truth's spectral peak, and the truth indices in descending RMS
+    order.  Both are taken on the truths divided by one exact power of two
+    (``unit_scaled``), which keeps their peaks and RMS order and lets no
+    power overflow.  The truths are fixed for a spec, so this runs once per spec."""
     scaled, _ = unit_scaled(np.stack([t.samples for t in truths]))
-    return [t.with_samples(s) for t, s in zip(truths, scaled)]
+    peaks = [dominant_frequency(periodogram(t.with_samples(s))) for t, s in zip(truths, scaled)]
+    order = np.argsort([-float(np.sqrt(np.mean(s**2))) for s in scaled], kind="stable")
+    return peaks, order
 
 
 def match_modes_to_truths(
-    ms: ModeSet, truths: list[TimeSeries]
+    ms: ModeSet, truth_peaks: list[float | None], truth_order: np.ndarray
 ) -> dict[int, int]:
     """Injective greedy matching: truth -> mode index.
 
-    Truths are visited in descending RMS order; each claims the unclaimed
-    mode whose spectral peak is nearest its own.  Peakless modes never match.
-    Truth powers are taken on the ``unit_scaled`` truths, so none overflows.
+    Truths are visited in ``truth_order`` (descending RMS, from
+    ``_truth_profile``); each claims the unclaimed mode whose spectral peak is
+    nearest its own.  Peakless modes never match.
     """
     mode_peaks = [e.peak_frequency_hz for e in ms.report]
-    truths = _unit_scaled(truths)
-    truth_peaks = [dominant_frequency(periodogram(t)) for t in truths]
-    order = np.argsort(
-        [-float(np.sqrt(np.mean(t.samples**2))) for t in truths], kind="stable"
-    )
     available = {i for i, p in enumerate(mode_peaks) if p is not None}
     assignment: dict[int, int] = {}
-    for ti in order:
+    for ti in truth_order:
         if not available or truth_peaks[ti] is None:
             continue
         best = min(available, key=lambda mi: abs(mode_peaks[mi] - truth_peaks[ti]))
@@ -312,10 +312,11 @@ def _score_cell(
     spec: ExperimentSpec,
     ms: ModeSet,
     truths: list[TimeSeries],
+    profile: tuple[list[float | None], np.ndarray],
     am_truth_index: int | None = None,
 ) -> tuple[tuple[float | None, ...], tuple[ComponentScore, ...]]:
-    assignment = match_modes_to_truths(ms, truths)
-    truth_freqs = [dominant_frequency(periodogram(t)) for t in _unit_scaled(truths)]
+    assignment = match_modes_to_truths(ms, *profile)
+    truth_freqs = profile[0]
     scores = []
     for ti, truth in enumerate(truths):
         freq = truth_freqs[ti] if truth_freqs[ti] is not None else 0.0
@@ -385,6 +386,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     clean, truths = _source(spec)
     am_truth_index = 0 if spec.generator == "am-mixture" else None
+    profile = None  # the truths' peaks and RMS order, made in the first scored cell
     draws = [(None, None)] if truths is None else [
         (snr, seed) for snr in spec.snr_db for seed in spec.seeds
     ]
@@ -400,7 +402,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                     outcome = dict(mode_peaks_hz=peaks,
                                    band_labels=tuple(_band_label(p) for p in peaks))
                 else:
-                    peaks, scores = _score_cell(spec, ms, truths, am_truth_index)
+                    profile = profile or _truth_profile(truths)
+                    peaks, scores = _score_cell(spec, ms, truths, profile, am_truth_index)
                     outcome = dict(mode_peaks_hz=peaks, scores=scores)
                 outcome.update(success=True, error=None)
             except Exception as exc:  # cell failures are data

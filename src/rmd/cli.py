@@ -8,6 +8,7 @@ flags or parameters, 3 I/O or file-format trouble, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,6 +57,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+@functools.cache  # parse_args mutates neither the parser nor its default lists
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmd",

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -291,18 +292,51 @@ def score_mode(candidate: TimeSeries, truth: TimeSeries) -> ModeMetrics:
 # `{"sample_rate_hz": <number>}`.
 
 
-def _parse_float(token: str, lineno: int) -> float:
+def _parse_rows(rows: list[str], ncols: int) -> np.ndarray | None:
+    """The stripped, non-blank ``rows`` as an (n, ncols) array of finite
+    floats, or None when a row has another column count, a field that does
+    not parse, or a non-finite value."""
+    if ncols not in (1, 2):
+        return None
+    if ncols == 1:
+        fields = rows  # a comma makes ``float`` fail: the walk names it
+    elif any(row.count(",") != 1 for row in rows):
+        return None
+    else:
+        fields = map(str.strip, ",".join(rows).split(","))
     try:
-        v = float(token)
+        table = np.array(list(map(float, fields)), dtype=np.float64)
     except ValueError:
-        raise CsvFormatError(f"line {lineno}: cannot parse {token!r} as a number") from None
-    if not math.isfinite(v):
-        raise CsvFormatError(f"line {lineno}: non-finite value {token!r}")
-    return v
+        return None
+    return table.reshape(-1, ncols) if np.isfinite(table).all() else None
+
+
+def _raise_at_bad_line(lines: list[str], skip: int, ncols: int) -> NoReturn:
+    """Raise the ``CsvFormatError`` naming the first malformed data line:
+    the non-blank lines of ``lines`` after the first ``skip``, 1-based."""
+    numbered = [(n, line) for n, line in enumerate(map(str.strip, lines), start=1) if line]
+    for lineno, line in numbered[skip:]:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != ncols or ncols not in (1, 2):
+            expected = f"{ncols} column(s)" if ncols in (1, 2) else "1 or 2 columns"
+            raise CsvFormatError(f"line {lineno}: expected {expected}, got {len(fields)}")
+        for token in fields:
+            try:
+                value = float(token)
+            except ValueError:
+                raise CsvFormatError(
+                    f"line {lineno}: cannot parse {token!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"line {lineno}: non-finite value {token!r}")
+    raise AssertionError("no malformed line to report")
 
 
 def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     """Read a signal CSV file.
+
+    The file is read and split once, and every field parsed in one pass;
+    only a malformed file is walked line by line, to name the line.
 
     Raises
     ------
@@ -314,62 +348,45 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
         If the file cannot be read.
     """
     path = Path(path)
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                rows.append((lineno, [f.strip() for f in line.split(",")]))
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")  # \r\n and \r read as \n
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    rows = [line for line in map(str.strip, lines) if line]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
     # an unparsable first row is treated as a header
-    first_fields = rows[0][1]
+    skip = 0
     try:
-        [float(f) for f in first_fields]
+        [float(f.strip()) for f in rows[0].split(",")]
     except ValueError:
+        skip = 1
         rows = rows[1:]
         if not rows:
             raise CsvFormatError(f"{path}: no data rows after header")
 
-    ncols = len(rows[0][1])
-    if ncols not in (1, 2):
-        raise CsvFormatError(f"line {rows[0][0]}: expected 1 or 2 columns, got {ncols}")
-    times = []
-    values = []
-    for lineno, fields in rows:
-        if len(fields) != ncols:
-            raise CsvFormatError(
-                f"line {lineno}: expected {ncols} column(s), got {len(fields)}"
-            )
-        if ncols == 2:
-            times.append(_parse_float(fields[0], lineno))
-            values.append(_parse_float(fields[1], lineno))
-        else:
-            values.append(_parse_float(fields[0], lineno))
+    ncols = rows[0].count(",") + 1
+    table = _parse_rows(rows, ncols)
+    if table is None:
+        _raise_at_bad_line(lines, skip, ncols)
 
-    if len(values) < 2:
-        raise CsvFormatError(f"{path}: need at least 2 samples, got {len(values)}")
+    if len(table) < 2:
+        raise CsvFormatError(f"{path}: need at least 2 samples, got {len(table)}")
     if ncols == 2:
-        dt = np.diff(np.asarray(times))
+        dt = np.diff(table[:, 0])
         ref = float(np.mean(dt))
         if ref <= 0 or np.max(np.abs(dt - ref)) > 1e-6 * abs(ref):
             raise CsvFormatError(f"{path}: time column is not uniformly spaced")
-    return TimeSeries(np.asarray(values), sample_rate_hz)
+    return TimeSeries(table[:, -1], sample_rate_hz)
 
 
 def write_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
     """Write a ``value`` header, then one value per line, shortest round-trip
     decimal representation."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value\n")
-        for v in x.samples:
-            fh.write(repr(float(v)) + "\n")
+    Path(path).write_text(
+        "value\n" + "\n".join(map(repr, x.samples.tolist())) + "\n", encoding="utf-8"
+    )
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -397,7 +414,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
 
 
 def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency_hz,power\n")
-        for f, p in zip(s.frequencies, s.power):
-            fh.write(f"{float(f)!r},{float(p)!r}\n")
+    rows = zip(s.frequencies.tolist(), s.power.tolist())
+    Path(path).write_text(
+        "frequency_hz,power\n" + "".join(f"{f!r},{p!r}\n" for f, p in rows), encoding="utf-8"
+    )

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rmd.bench
 from rmd.bench import (
     CellResult,
     ExperimentReport,
@@ -129,6 +130,16 @@ class TestSineExperiment:
         b = run_experiment(spec)
         assert a.spec == b.spec
         assert all(x.same_but_timing(y) for x, y in zip(a.cells, b.cells))
+
+    def test_truth_periodograms_once_per_spec(self, monkeypatch):
+        # the truths are fixed for a spec: their peaks are taken once, not per cell
+        calls = []
+        real = rmd.bench.periodogram
+        monkeypatch.setattr(rmd.bench, "periodogram", lambda x: calls.append(x) or real(x))
+        spec = ExperimentSpec.from_dict(json.loads((SPECS / "sine_snr.json").read_text()))
+        report = run_experiment(spec)
+        assert len(report.cells) == 40 and all(c.success for c in report.cells)
+        assert len(calls) == 3
 
     # runs under the suite's error::RuntimeWarning filter: an overflow in the
     # scoring would fail the cell

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rmd.cli import main
+import rmd
+from rmd.cli import _build_parser, main
 from rmd.modes import SIMILARITY_MEASURES
 from rmd.signals import TimeSeries, read_timeseries_csv, write_timeseries_csv
 
@@ -55,6 +59,53 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    @staticmethod
+    def _in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _fresh_process(argv):
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(rmd.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-m", "rmd", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    @staticmethod
+    def _files(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_sequence_matches_fresh_processes(self, tone_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        out_dir = tmp_path / "out"
+        sequence = [
+            ["decompose", str(tone_file), "-r", "2", "--alpha", "nope", "--out", str(out_dir)],
+            ["decompose", str(tone_file), "-r", "2", "--out", str(out_dir)],
+            ["decompose", "--help"],
+        ]
+        fresh = []
+        for argv in sequence:
+            fresh.append(self._fresh_process(argv))
+        fresh_files = self._files(out_dir)
+        assert [r[0] for r in fresh] == [2, 0, 0]
+
+        parser = _build_parser()
+        in_process = [self._in_process(argv) for argv in sequence]
+        assert in_process == fresh
+        assert self._files(out_dir) == fresh_files
+        assert _build_parser() is parser
 
 
 class TestSynth:

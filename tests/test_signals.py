@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from rmd.signals import (
     periodogram,
     read_timeseries_csv,
     score_mode,
+    write_spectrum_csv,
     write_timeseries_csv,
 )
 
@@ -311,3 +314,152 @@ class TestCsvRoundTrip:
         p = tmp_path_factory.mktemp("csv") / "x.csv"
         write_timeseries_csv(x, p)
         assert read_timeseries_csv(p, 64.0) == x
+
+
+def reference_read_csv(path, sample_rate_hz):
+    """The per-line reader that ``read_timeseries_csv`` replaced, kept as the
+    oracle for its samples and its error messages."""
+
+    def parse(token, lineno):
+        try:
+            v = float(token)
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: cannot parse {token!r} as a number") from None
+        if not math.isfinite(v):
+            raise CsvFormatError(f"line {lineno}: non-finite value {token!r}")
+        return v
+
+    path = Path(path)
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                rows.append((lineno, [f.strip() for f in line.split(",")]))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    try:
+        [float(f) for f in rows[0][1]]
+    except ValueError:
+        rows = rows[1:]
+        if not rows:
+            raise CsvFormatError(f"{path}: no data rows after header")
+    ncols = len(rows[0][1])
+    if ncols not in (1, 2):
+        raise CsvFormatError(f"line {rows[0][0]}: expected 1 or 2 columns, got {ncols}")
+    times, values = [], []
+    for lineno, fields in rows:
+        if len(fields) != ncols:
+            raise CsvFormatError(f"line {lineno}: expected {ncols} column(s), got {len(fields)}")
+        if ncols == 2:
+            times.append(parse(fields[0], lineno))
+            values.append(parse(fields[1], lineno))
+        else:
+            values.append(parse(fields[0], lineno))
+    if len(values) < 2:
+        raise CsvFormatError(f"{path}: need at least 2 samples, got {len(values)}")
+    if ncols == 2:
+        dt = np.diff(np.asarray(times))
+        ref = float(np.mean(dt))
+        if ref <= 0 or np.max(np.abs(dt - ref)) > 1e-6 * abs(ref):
+            raise CsvFormatError(f"{path}: time column is not uniformly spaced")
+    return TimeSeries(np.asarray(values), sample_rate_hz)
+
+
+def _outcome(reader, path):
+    try:
+        x = reader(path, 10.0)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc).__name__, str(exc)
+    return "ok", x.samples.tobytes(), x.sample_rate
+
+
+# pieces of a hostile CSV: every field kind float() accepts or rejects,
+# whitespace float() does not strip (\x1c) and some it does (\u2028)
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_token = st.one_of(
+    _finite, st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "nan", "NaN", "-inf", "inf", "1e400", "0x10", "potato", "",
+                     " 2.5 ", "\ufeff1.0", "\u0661\u0662", "1\x1c", "\u20283", "+.5", "1,"]),
+)
+_row = st.one_of(
+    _token, st.builds("{},{}".format, _token, _token),
+    st.builds("{} , {}".format, _token, _token),
+    st.builds("{},{},{}".format, _token, _token, _token),
+    st.sampled_from(["", "   ", "\t", ","]),
+)
+_newline = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _uniform_two_column(draw):
+    dt = draw(st.sampled_from([0.01, 0.5, 1.0, 1e-300, -0.1, 0.0]))
+    values = draw(st.lists(_finite, min_size=1, max_size=8))
+    sep = draw(st.sampled_from([",", " , ", "\x1c,", ",\x1c", "\u2028,\t"]))
+    return ["time,value"] * draw(st.booleans()) + [
+        f"{i * dt!r}{sep}{v}" for i, v in enumerate(values)]
+
+
+@st.composite
+def _csv_bytes(draw):
+    lines = draw(st.one_of(st.lists(_row, max_size=8), _uniform_two_column()))
+    header = draw(st.sampled_from(["", "value", "time,value", "\ufeffvalue", "a,b,c"]))
+    lines = ([header] if header else []) + lines
+    text = "".join(line + draw(_newline) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline at the end
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+class TestBulkCsvIo:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_csv_bytes())
+    def test_reader_matches_per_line_reference(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(data)
+            assert _outcome(read_timeseries_csv, path) == _outcome(reference_read_csv, path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("value\n1.0\n2,3\nfoo\n", "line 3: expected 1 column(s), got 2"),
+        ("0,1\n1,2\n2,inf\n", "line 3: non-finite value 'inf'"),
+        ("0,1\nx,y\n", "line 2: cannot parse 'x' as a number"),
+        ("t,v\n\n0,1,2\n", "line 3: expected 1 or 2 columns, got 3"),
+        ("1\n\r\n\n 1_0 \n0x10\n", "line 5: cannot parse '0x10' as a number"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, text, message):
+        p = tmp_path / "sig.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError) as exc:
+            read_timeseries_csv(p, 10.0)
+        assert str(exc.value) == message
+
+    def test_writer_bytes(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 3.0, 0.1 + 0.2, -1.5e-7]
+        x = TimeSeries(values, 10.0)
+        p = tmp_path / "x.csv"
+        write_timeseries_csv(x, p)
+        expected = "value\n" + "".join(repr(float(v)) + "\n" for v in x.samples)
+        assert p.read_bytes() == expected.encode("utf-8")
+        assert p.read_bytes() == (
+            b"value\n-0.0\n5e-324\n1e+308\n3.0\n0.30000000000000004\n-1.5e-07\n")
+        y = read_timeseries_csv(p, 10.0)
+        assert y == x and np.signbit(y.samples[0])
+
+    def test_spectrum_writer_bytes(self, tmp_path):
+        s = Spectrum([0.0, 0.5, 1.0], [0.0, math.inf, 0.1 + 0.2])
+        p = tmp_path / "s.csv"
+        write_spectrum_csv(s, p)
+        expected = "frequency_hz,power\n" + "".join(
+            f"{float(f)!r},{float(w)!r}\n" for f, w in zip(s.frequencies, s.power))
+        assert p.read_bytes() == expected.encode("utf-8")
+        assert p.read_text() == "frequency_hz,power\n0.0,0.0\n0.5,inf\n1.0,0.30000000000000004\n"
