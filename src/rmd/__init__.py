@@ -5,54 +5,26 @@ a roughness-penalized generalized eigenproblem on the Hankel trajectory
 Gram matrix, then clustering and merging the eigenvectors before
 reconstruction.  The plain SVD baseline (``ssa_decompose``) is the
 unregularized special case.
+
+``__all__`` is the public API; the submodules' other names may change.
 """
 
-from .bench import (
-    CellResult,
-    ComponentScore,
-    ExperimentReport,
-    ExperimentSpec,
-    run_experiment,
-    write_report,
-)
-from .embedding import (
-    SignalTooShortError,
-    TrajectoryMatrix,
-    build_trajectory_matrix,
-    diagonal_average,
-    select_embedding_dimension,
-)
-from .eigen import (
-    EigenBasis,
-    EigenSolverError,
-    GramMatrix,
-    NumericalError,
-    augmented,
-    diff_operator,
-    gram,
-    smoothing_matrix,
-    solve_generalized,
-)
+from .bench import ExperimentReport, ExperimentSpec, run_experiment, write_report
+from .eigen import EigenSolverError, NumericalError
+from .embedding import SignalTooShortError
 from .modes import (
     DecompositionConfig,
-    MergedMode,
     ModeReport,
     ModeSet,
-    cluster_and_merge,
-    reconstruct_mode,
     rmd_decompose,
-    similarity,
     ssa_decompose,
     write_modeset,
 )
 from .signals import (
     CsvFormatError,
-    ModeMetrics,
     SineComponent,
-    Spectrum,
     TimeSeries,
     add_noise_at_snr,
-    dominant_frequency,
     gen_am_mixture,
     gen_sinusoid_mixture,
     periodogram,
@@ -64,47 +36,32 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellResult",
-    "ComponentScore",
-    "CsvFormatError",
+    # decomposition
     "DecompositionConfig",
-    "EigenBasis",
-    "EigenSolverError",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "GramMatrix",
-    "MergedMode",
-    "ModeMetrics",
     "ModeReport",
     "ModeSet",
-    "NumericalError",
-    "SignalTooShortError",
-    "SineComponent",
-    "Spectrum",
-    "TimeSeries",
-    "TrajectoryMatrix",
-    "add_noise_at_snr",
-    "augmented",
-    "build_trajectory_matrix",
-    "cluster_and_merge",
-    "diagonal_average",
-    "diff_operator",
-    "dominant_frequency",
-    "gen_am_mixture",
-    "gen_sinusoid_mixture",
-    "gram",
-    "periodogram",
-    "read_timeseries_csv",
-    "reconstruct_mode",
     "rmd_decompose",
-    "run_experiment",
-    "score_mode",
-    "select_embedding_dimension",
-    "similarity",
-    "smoothing_matrix",
-    "solve_generalized",
     "ssa_decompose",
     "write_modeset",
-    "write_report",
+    # signals and scoring
+    "TimeSeries",
+    "SineComponent",
+    "gen_sinusoid_mixture",
+    "gen_am_mixture",
+    "add_noise_at_snr",
+    "periodogram",
+    "score_mode",
+    # CSV I/O
+    "read_timeseries_csv",
     "write_timeseries_csv",
+    "CsvFormatError",
+    # experiments
+    "ExperimentSpec",
+    "ExperimentReport",
+    "run_experiment",
+    "write_report",
+    # errors
+    "NumericalError",
+    "EigenSolverError",
+    "SignalTooShortError",
 ]

@@ -65,7 +65,7 @@ class ExperimentSpec:
     """Declarative description of one experiment sweep.
 
     Synthetic generators draw a fresh noise realization per (snr, seed) and
-    decompose it once per grid configuration.  ``file`` runs skip noise
+    decompose it once per configuration.  ``file`` runs skip noise
     injection and scoring and simply decompose the ingested signal.  Every
     configuration is decomposed with ``embedding_dim`` as its ``K_override``.
     """
@@ -116,35 +116,15 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
-        """Build a spec from parsed JSON.
-
-        Configurations may be given explicitly under ``configs``, each a dict
-        of the ``SPEC_CONFIG_KEYS``, or as a cross-product grid of ``alphas`` x
-        ``diff_orders`` with shared ``theta`` / ``n_modes`` / ``measure`` /
-        ``shrinkage``.  An unknown key or an out-of-range value raises
-        ValueError (or TypeError, for a value of the wrong type).
+        """Build a spec from parsed JSON: the spec's fields, with ``configs`` a
+        list of dicts of the ``SPEC_CONFIG_KEYS``.  A missing ``configs``, an
+        unknown key or an out-of-range value raises ValueError (or TypeError,
+        for a value of the wrong type).
         """
         doc = dict(doc)
-        if "configs" in doc:
-            configs = tuple(_config_from_dict(c) for c in doc.pop("configs"))
-            for key in ("alphas", "diff_orders", "theta", "n_modes", "measure"):
-                doc.pop(key, None)
-        else:
-            alphas = doc.pop("alphas", None)
-            if alphas is None:
-                raise ValueError("spec needs either 'configs' or an 'alphas' grid")
-            orders = doc.pop("diff_orders", [1])
-            theta = doc.pop("theta", 0.85)
-            n_modes = doc.pop("n_modes", 3)
-            measure = doc.pop("measure", "spectral")
-            shrinkage = doc.pop("shrinkage", False)
-            configs = tuple(
-                DecompositionConfig(alpha=float(a), diff_order=o,
-                                    merge_threshold=float(theta), n_modes=n_modes,
-                                    similarity=measure, shrinkage=bool(shrinkage))
-                for a in alphas
-                for o in orders
-            )
+        if "configs" not in doc:
+            raise ValueError("spec needs a 'configs' list")
+        configs = tuple(_config_from_dict(c) for c in doc.pop("configs"))
         return ExperimentSpec(configs=configs, **doc)
 
     def to_dict(self) -> dict:
@@ -186,14 +166,6 @@ class CellResult:
     mode_peaks_hz: tuple[float | None, ...] = ()
     scores: tuple[ComponentScore, ...] = ()
     band_labels: tuple[str, ...] = ()
-
-    def same_but_timing(self, other: "CellResult") -> bool:
-        """Equality ignoring the wall-clock field."""
-        a = asdict(self)
-        b = asdict(other)
-        a.pop("wall_ms")
-        b.pop("wall_ms")
-        return a == b
 
 
 @dataclass(frozen=True)

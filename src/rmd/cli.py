@@ -232,15 +232,17 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        text = Path(args.spec).read_text(encoding="utf-8")
+        text = Path(args.spec).read_bytes()
     except FileNotFoundError:
         raise _CliError(EXIT_IO, f"spec file not found: {args.spec}")
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {args.spec}: {exc}")
     try:
-        report = bench_mod.run_experiment(
-            bench_mod.ExperimentSpec.from_dict(json.loads(text))
-        )
+        doc = json.loads(text.decode("utf-8"))  # not UTF-8 is a ValueError too
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+        raise _CliError(EXIT_USAGE, f"bad experiment spec: {exc}")
+    try:
+        report = bench_mod.run_experiment(bench_mod.ExperimentSpec.from_dict(doc))
     except (OSError, CsvFormatError) as exc:  # a file spec's input
         raise _CliError(EXIT_IO, f"cannot run spec: {exc}")
     except (ValueError, TypeError, OverflowError) as exc:  # also a signal it cannot make
@@ -267,7 +269,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     x = _load_series(args.input, args.sample_rate)
-    spec = periodogram(x)
+    try:
+        spec = periodogram(x)
+    except ValueError as exc:  # a rate so small that the frequency grid collapses to 0
+        raise _CliError(EXIT_USAGE, str(exc))
     peak = dominant_frequency(spec)
     if len(x) < 12:
         raise _CliError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .embedding import TrajectoryMatrix
+from .embedding import hankel_series
 
 
 class EigenSolverError(RuntimeError):
@@ -32,24 +32,6 @@ class EigenSolverError(RuntimeError):
 
 class NumericalError(ArithmeticError):
     """A decomposition met numbers it cannot use, or failed an internal check."""
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Symmetric positive semi-definite K x K Gram matrix X^T X."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        scale = float(np.abs(m).max()) or 1.0
-        # transpose by copy first: numpy subtracts a transposed view slowly
-        if np.abs(m.T.copy() - m).max() > 1e-10 * scale:
-            raise ValueError("Gram matrix must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +68,18 @@ class EigenBasis:
         return self.gammas.size
 
 
-def gram(X: TrajectoryMatrix) -> GramMatrix:
-    """X^T X by the Hankel lag recurrence: O(K^2) after one O(LK) first row.
+def gram(X: np.ndarray) -> np.ndarray:
+    """X^T X of an L x K Hankel matrix by the lag recurrence: O(K^2) after one
+    O(LK) first row.
 
     Row i of X is x[i : i + K], so G[i+1, j+1] = G[i, j] + x[L+i] x[L+j] - x[i] x[j]
     (Korobeynikov, arXiv:0911.4498).  Row 0 is the correlation of x with x[:L];
     each later row is written whole from the one above, its first entry taken
-    from row 0, so G is exactly symmetric.  Overflow raises NumericalError.
+    from row 0, so G is exactly symmetric.  The result is read-only.  Overflow
+    raises NumericalError.
     """
-    L, K = X.data.shape
-    x = X.series
+    L, K = X.shape
+    x = hankel_series(X)
     g = np.empty((K, K))
     with np.errstate(over="ignore", invalid="ignore"):
         g[0] = np.correlate(x, x[:L], "valid")
@@ -108,10 +92,8 @@ def gram(X: TrajectoryMatrix) -> GramMatrix:
                 np.add(g[i - 1, :-1], delta[i - s], out=g[i, 1:])
     if not np.isfinite([g.min(), g.max()]).all():  # inf or nan shows in the extremes
         raise NumericalError(f"Gram matrix overflows for signal magnitude {np.abs(x).max():.3g}")
-    g.setflags(write=False)  # new and exactly symmetric: skip __post_init__'s copy and scan
-    G = object.__new__(GramMatrix)
-    object.__setattr__(G, "matrix", g)
-    return G
+    g.setflags(write=False)
+    return g
 
 
 def diff_operator(order: int, K: int) -> np.ndarray:
@@ -157,7 +139,8 @@ def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
     return M
 
 
-EIGEN_FLOOR_DEFAULT = 1e-12
+# pairs whose gamma falls below this share of the largest are negligible
+EIGEN_FLOOR = 1e-12
 
 
 def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -169,14 +152,14 @@ def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
 
 
 def solve_generalized(
-    G: GramMatrix,
+    G: np.ndarray,
     alpha: float,
     order: int,
-    eigen_floor: float = EIGEN_FLOOR_DEFAULT,
     n_pairs: int | None = None,
 ) -> EigenBasis:
     """Solve ``G v = gamma M v``, M = I + alpha D^T D with D the order-``order``
-    stencil, for the top ``n_pairs`` eigenpairs (all K if None).
+    stencil, for the top ``n_pairs`` eigenpairs (all K if None).  G is the
+    symmetric K x K Gram matrix, as ``gram`` returns it.
 
     M is built in its band, and its band Cholesky factor, M = U^T U, reduces
     the problem to the symmetric C = U^-T G U^-1 by two banded triangular
@@ -191,10 +174,10 @@ def solve_generalized(
     EigenSolverError.  Each roughness mu = ||D v||^2 is taken by differencing
     v, in O(K m).
 
-    Eigenvalues below ``eigen_floor * max(gamma)`` are flagged negligible;
+    Eigenvalues below ``EIGEN_FLOOR * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
     """
-    K = G.matrix.shape[0]
+    K = G.shape[0]
     if n_pairs is not None and n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     top = K if n_pairs is None else min(K, n_pairs)
@@ -203,7 +186,7 @@ def solve_generalized(
         U = sla.cholesky_banded(band)
         # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
         # C = U^-T (U^-T G)^T = U^-T G U^-1
-        C = _band_solve(U, _band_solve(U, G.matrix.T, "T").T, "T")
+        C = _band_solve(U, _band_solve(U, G.T, "T").T, "T")
         # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve
         if 8 * top <= K:
             w, Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1],
@@ -218,7 +201,7 @@ def solve_generalized(
     V /= np.linalg.norm(V, axis=0, keepdims=True)
 
     gmax = float(w[0])
-    floor = eigen_floor * gmax if gmax > 0 else math.inf
+    floor = EIGEN_FLOOR * gmax if gmax > 0 else math.inf
     return EigenBasis(
         gammas=w,
         vectors=V,

@@ -4,7 +4,6 @@ and their diagonal-averaging inverse."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,40 +13,6 @@ from .signals import TimeSeries, dominant_frequency, periodogram
 
 class SignalTooShortError(ValueError):
     """Signal too short to build a usable embedding."""
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryMatrix:
-    """L x K Hankel embedding of a series: row i is ``x[i : i + K]``.
-
-    L = N - K + 1 windows of length K at unit delay, so every anti-diagonal
-    is constant.  ``data`` is read-only.  From ``build_trajectory_matrix`` it
-    is a strided view of the series' frozen samples, so no L x K array is
-    stored; a matrix passed to the constructor is copied.
-    """
-
-    data: np.ndarray
-    n_samples: int
-    embedding_dim: int
-
-    def __post_init__(self):
-        d = np.array(self.data, dtype=np.float64)
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-        L, K = d.shape
-        if K != self.embedding_dim or L != self.n_samples - K + 1:
-            raise ValueError("shape inconsistent with n_samples/embedding_dim")
-        if L < 2 or K < 2:
-            raise ValueError("trajectory matrix needs L >= 2 and K >= 2")
-
-    @property
-    def n_windows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def series(self) -> np.ndarray:
-        """The N embedded samples: the first column, then the rest of the last row."""
-        return np.concatenate([self.data[:, 0], self.data[-1, 1:]])
 
 
 MIN_EMBEDDING_DIM = 4
@@ -78,17 +43,20 @@ def select_embedding_dimension(x: TimeSeries) -> int:
     return embedding_dim_from_peak(f_max, x.sample_rate, n)
 
 
-def build_trajectory_matrix(x: TimeSeries, K: int) -> TrajectoryMatrix:
-    """The N - K + 1 length-K sliding windows of the signal as rows, a
-    read-only view of its samples (no copy)."""
+def build_trajectory_matrix(x: TimeSeries, K: int) -> np.ndarray:
+    """The L x K Hankel embedding of the signal, L = N - K + 1: row i is
+    ``x[i : i + K]``, so every anti-diagonal is constant.  The result is a
+    read-only strided view of the samples (no copy)."""
     n = len(x)
     if not 2 <= K <= n - 1:
         raise ValueError(f"embedding dimension must satisfy 2 <= K <= N-1, got K={K}, N={n}")
-    X = object.__new__(TrajectoryMatrix)  # the samples are frozen: skip the copy
-    for name, value in (("data", sliding_window_view(x.samples, K)),
-                        ("n_samples", n), ("embedding_dim", K)):
-        object.__setattr__(X, name, value)
-    return X
+    return sliding_window_view(x.samples, K)
+
+
+def hankel_series(X: np.ndarray) -> np.ndarray:
+    """The N samples a Hankel matrix embeds: its first column, then the rest
+    of its last row."""
+    return np.concatenate([X[:, 0], X[-1, 1:]])
 
 
 def diagonal_average(m: np.ndarray, n_samples: int) -> np.ndarray:

@@ -13,13 +13,12 @@ import numpy as np
 
 from .embedding import (
     SignalTooShortError,
-    TrajectoryMatrix,
     build_trajectory_matrix,
     diagonal_average,  # noqa: F401  re-exported as rmd.modes.diagonal_average
+    hankel_series,
     select_embedding_dimension,
 )
 from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.modes.*
-    EIGEN_FLOOR_DEFAULT,
     EigenBasis,
     NumericalError,
     augmented,
@@ -50,7 +49,6 @@ class DecompositionConfig:
     similarity      one of cosine | pearson | normalized-euclidean | spectral
     K_override      fixed embedding dimension instead of the spectral heuristic
     shrinkage       apply per-eigenvector gains 1/(1 + alpha*mu) at reconstruction
-    eigen_floor     relative eigenvalue floor below which pairs go to the residual
     """
 
     n_modes: int
@@ -60,7 +58,6 @@ class DecompositionConfig:
     similarity: str = "spectral"
     K_override: int | None = None
     shrinkage: bool = False
-    eigen_floor: float = EIGEN_FLOOR_DEFAULT
 
     def __post_init__(self):
         for name in ("n_modes", "diff_order", "K_override"):
@@ -81,8 +78,6 @@ class DecompositionConfig:
             raise ValueError(f"unknown similarity measure {self.similarity!r}")
         if self.K_override is not None and self.K_override < 2:
             raise ValueError("K_override must be >= 2")
-        if self.eigen_floor < 0:
-            raise ValueError("eigen_floor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,10 +106,6 @@ class ModeSet:
     embedding_dim: int
     method: str = "rmd"
     warnings: tuple[str, ...] = field(default=())
-
-    def reconstruct(self) -> TimeSeries:
-        return self.residual.with_samples(sum((m.samples for m in self.modes),
-                                              self.residual.samples))
 
 
 def _profile(V: np.ndarray, measure: str) -> np.ndarray:
@@ -221,7 +212,8 @@ def cluster_and_merge(
         W = W * np.where(W.T @ W[:, 0] < 0, -1.0, 1.0)
         gammas = basis.gammas[members]
         total = float(sum(gammas))
-        # all-zero eigenvalues (possible with eigen_floor=0): equal weights
+        # all-zero eigenvalues (EIGEN_FLOOR * gmax underflows to 0 for gmax below
+        # about 5e-312, so zero gammas are not negligible): equal weights
         vec = W @ gammas / total if total > 0 else W.mean(axis=1)
         vec = vec / np.linalg.norm(vec)
         merged.append(
@@ -232,9 +224,9 @@ def cluster_and_merge(
     return merged, leftovers
 
 
-def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains, groups) -> np.ndarray:
+def _anti_diagonal_average(X: np.ndarray, V: np.ndarray, gains, groups) -> np.ndarray:
     """Diagonal average of ``sum_{m in g} gains[m] * X v_m v_m^T`` for each list g
-    of column indices in ``groups``, one row each.
+    of column indices in ``groups``, one row each; X is the L x K Hankel matrix.
 
     Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], sample k
     of the full convolution u * v.  One projection X V serves every group: its
@@ -243,36 +235,18 @@ def _anti_diagonal_average(X: TrajectoryMatrix, V: np.ndarray, gains, groups) ->
     anti-diagonal counts finish the average without forming any L x K matrix.
     """
     cols = [m for g in groups for m in g]
-    n, L = X.n_samples, X.n_windows
+    L, K = X.shape
+    n = L + K - 1
     nfft = 1 << (n - 1).bit_length()  # >= n, the length of u * v, so nothing wraps
     FW = np.fft.rfft(V[:, cols], nfft, axis=0)
     # u[i] = sum_j x[i + j] v[j]: lags i < L never meet the wrapped negative lags
-    XW = np.fft.irfft(np.fft.rfft(X.series, nfft)[:, None] * FW.conj(), nfft, axis=0)[:L]
+    XW = np.fft.irfft(np.fft.rfft(hankel_series(X), nfft)[:, None] * FW.conj(), nfft, axis=0)[:L]
     spec = np.fft.rfft(XW * gains[cols], nfft, axis=0) * FW
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     sums = np.fft.irfft(spec @ (owner[:, None] == np.arange(len(groups))), nfft, axis=0)[:n]
     k = np.arange(n)
-    counts = np.minimum(np.minimum(k + 1, n - k), min(X.n_windows, X.embedding_dim))
+    counts = np.minimum(np.minimum(k + 1, n - k), min(L, K))
     return sums.T / counts
-
-
-def reconstruct_mode(
-    X: TrajectoryMatrix, v: np.ndarray, g: float = 1.0, sample_rate: float = 1.0
-) -> TimeSeries:
-    """Diagonal-average the rank-1 projection ``g * X v v^T`` back to a series.
-
-    ``g`` is 1 unless shrinkage is on, in which case it is the eigenvector's
-    gain 1/(1 + alpha*mu).  The trajectory matrix does not know its sample
-    rate, so pass one if the result should carry it.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (X.embedding_dim,):
-        raise ValueError("eigenvector length must equal the embedding dimension")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("eigenvector must have unit Euclidean norm")
-    if not 0.0 < g <= 1.0:
-        raise ValueError("shrinkage weight must lie in (0, 1]")
-    return TimeSeries(_anti_diagonal_average(X, v[:, None], np.array([g]), [[0]])[0], sample_rate)
 
 
 def _unit_scale(x: TimeSeries) -> tuple[TimeSeries, int]:
@@ -340,7 +314,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     X = build_trajectory_matrix(xs, K)
     G = gram(X)
-    basis = solve_generalized(G, config.alpha, config.diff_order, eigen_floor=config.eigen_floor,
+    basis = solve_generalized(G, config.alpha, config.diff_order,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)
 
     clusters, _ = cluster_and_merge(basis, config)
@@ -352,7 +326,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
                                    [list(c.member_indices) for c in clusters])
     stats = [
         (c.gamma_total, float(np.sum(np.diff(c.vector, n=config.diff_order) ** 2)),
-         float(c.vector @ G.matrix @ c.vector), len(c.member_indices))
+         float(c.vector @ G @ c.vector), len(c.member_indices))
         for c in clusters
     ]
     order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma_total)
@@ -403,7 +377,7 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
         raise ValueError("r must be >= 1")
     xs, shift = _unit_scale(x)
     X = build_trajectory_matrix(xs, K)
-    _, s, Vt = np.linalg.svd(X.data, full_matrices=False)
+    _, s, Vt = np.linalg.svd(X, full_matrices=False)
     warnings = ()
     if r > s.size:
         warnings = (f"requested {r} components but rank is at most {s.size}",)

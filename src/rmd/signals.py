@@ -103,13 +103,6 @@ class Spectrum:
         if np.any(self.power < 0):
             raise ValueError("power must be nonnegative")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return np.array_equal(self.frequencies, other.frequencies) and np.array_equal(
-            self.power, other.power
-        )
-
 
 @dataclass(frozen=True)
 class ModeMetrics:
@@ -150,13 +143,14 @@ def gen_sinusoid_mixture(
         raise ValueError("at least one component is required")
     n = _n_samples(sample_rate, duration)
     t = np.arange(n) / sample_rate
-    parts = [
-        TimeSeries(c.amplitude * np.sin(2 * np.pi * c.frequency * t + c.phase), sample_rate)
-        for c in components
-    ]
-    total = np.zeros(n)
-    for p in parts:
-        total = total + p.samples
+    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries rejects inf and nan
+        parts = [
+            TimeSeries(c.amplitude * np.sin(2 * np.pi * c.frequency * t + c.phase), sample_rate)
+            for c in components
+        ]
+        total = np.zeros(n)
+        for p in parts:
+            total = total + p.samples
     return TimeSeries(total, sample_rate), parts
 
 
@@ -175,9 +169,10 @@ def gen_am_mixture(
     """
     n = _n_samples(sample_rate, duration)
     t = np.arange(n) / sample_rate
-    am = 2.0 * np.sin(2 * np.pi * f1 * t) * (1.0 + 0.5 * np.sin(2 * np.pi * f_mod * t))
-    carrier2 = np.sin(2 * np.pi * f2 * t)
-    carrier3 = np.cos(2 * np.pi * f3 * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries rejects inf and nan
+        am = 2.0 * np.sin(2 * np.pi * f1 * t) * (1.0 + 0.5 * np.sin(2 * np.pi * f_mod * t))
+        carrier2 = np.sin(2 * np.pi * f2 * t)
+        carrier3 = np.cos(2 * np.pi * f3 * t)
     parts = [TimeSeries(p, sample_rate) for p in (am, carrier2, carrier3)]
     return TimeSeries(am + carrier2 + carrier3, sample_rate), parts
 
@@ -199,7 +194,8 @@ def add_noise_at_snr(
     drawn from numpy's PCG64 generator (``numpy.random.default_rng(seed)``),
     so a fixed seed reproduces the noise bit for bit.  The power is taken on
     x / 2**s with max|x| / 2**s in [0.5, 1) and sigma scaled back by 2**s,
-    which is exact, so no finite signal overflows.
+    which is exact, so no finite signal overflows in it.  An SNR whose noise
+    leaves the float64 range raises ValueError.
 
     Returns
     -------
@@ -210,10 +206,16 @@ def add_noise_at_snr(
     power = float(np.mean(scaled**2))
     if power == 0.0:
         raise ValueError("signal has zero power; SNR is undefined")
-    sigma = math.ldexp(math.sqrt(power / 10.0 ** (snr_db / 10.0)), shift)
+    try:  # past about +-3080 dB, 10**(snr/10) or sigma leaves the float64 range
+        sigma = math.ldexp(math.sqrt(power / 10.0 ** (snr_db / 10.0)), shift)
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"noise at snr_db={snr_db:g} is outside the float64 range")
     rng = np.random.default_rng(seed)
-    noise = sigma * rng.standard_normal(len(x))
-    return x.with_samples(x.samples + noise), x.with_samples(noise)
+    with np.errstate(over="ignore"):  # an inf sample is rejected by TimeSeries
+        noise = sigma * rng.standard_normal(len(x))
+        return x.with_samples(x.samples + noise), x.with_samples(noise)
 
 
 def periodogram(x: TimeSeries) -> Spectrum:
@@ -408,7 +410,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
         rate = float(doc["sample_rate_hz"])
-    except (ValueError, KeyError, TypeError, OverflowError):
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
     return rate if math.isfinite(rate) and rate > 0 else None
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,10 @@ from rmd.signals import TimeSeries, read_timeseries_csv, write_timeseries_csv
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# JSON nested far past the parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def _reject_non_finite(token):
@@ -130,6 +135,12 @@ class TestSynth:
         for i in (1, 2, 3):
             assert (tmp_path / f"noisy_truth_{i:02d}.csv").is_file()
             assert (tmp_path / f"noisy_truth_{i:02d}.json").is_file()
+
+    @pytest.mark.parametrize("snr", ["-4000", "4000"])
+    def test_snr_past_float_range_exits_2(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", "sine3", "--snr", snr, "--out", str(out)) == 2
+        assert "snr_db" in capsys.readouterr().err and not out.exists()
 
     def test_zero_duration_exits_2(self, tmp_path, capsys):
         code = run_cli("synth", "sine3", "--duration", "0", "--out", str(tmp_path / "x.csv"))
@@ -278,6 +289,15 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "sample" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["decompose", "spectrum"])
+    def test_deeply_nested_sidecar_is_unusable(self, tone_file, tmp_path, capsys, command):
+        # the JSON parser recurses once per level and gives up deep inside
+        tone_file.with_suffix(".json").write_text(DEEP_JSON)
+        argv = [command, str(tone_file), "--out", str(tmp_path / "o")]
+        argv += ["-r", "1"] if command == "decompose" else []
+        assert run_cli(*argv) == 2
+        assert "no usable sidecar" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_five_hz_tone(self, tone_file, tmp_path, capsys):
@@ -309,6 +329,15 @@ class TestSpectrum:
     def test_missing_file_exits_3(self, tmp_path):
         code = run_cli("spectrum", str(tmp_path / "gone.csv"), "--sample-rate", "10")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["spectrum", "decompose"])
+    def test_subnormal_sample_rate_exits_2(self, tone_file, tmp_path, capsys, command):
+        # 1 / 1e-320 overflows, so every frequency bin reads 0 Hz
+        argv = [command, str(tone_file), "--sample-rate", "1e-320", "--out",
+                str(tmp_path / "o")]
+        argv += ["-r", "1"] if command == "decompose" else []
+        assert run_cli(*argv) == 2
+        assert "frequency grid" in capsys.readouterr().err
 
 
 class TestBench:
@@ -378,6 +407,37 @@ class TestBench:
         path = tmp_path / "mangled.json"
         path.write_text("{not json")
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("text", [DEEP_JSON.encode(), b'{"generator": "\xff"}'],
+                             ids=["deeply-nested", "not-utf8"])
+    def test_unparsable_spec_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        {"alphas": [1.0, 2.0], "diff_orders": [1, 2]},
+        {"alphas": [1.0], "configs": [{"alpha": 1.0}]},
+        {"configs": [{"alpha": 1.0}], "theta": 0.7},
+    ])
+    def test_grid_spec_exits_2(self, tmp_path, capsys, grid):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0], **grid}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("snr", [-4000.0, 4000.0, -1e4, 1e4, float("-inf")])
+    def test_snr_past_float_range_exits_2(self, tmp_path, capsys, snr):
+        # 10 ** (snr / 10) underflows to 0 or overflows
+        doc = {"generator": "sine-mixture", "snr_db": [snr], "seeds": [0],
+               "duration_s": 1.0, "embedding_dim": 20, "configs": [{"alpha": 1.0}]}
+        path = tmp_path / "snr.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "snr_db" in capsys.readouterr().err
 
     def test_rerun_identical_modulo_timing(self, mini_spec, tmp_path):
         out1 = tmp_path / "run1"
@@ -466,6 +526,25 @@ _config = st.one_of(
         max_size=6,
     ),
 )
+# the spec's other fields, hostile or not; a rate of at most 200 Hz over at most
+# 1 s keeps every signal at 200 samples or fewer
+_spec_fields = st.fixed_dictionaries({}, optional={
+    "generator": st.sampled_from(["sine-mixture", "am-mixture", "file", "chirp"]),
+    "snr_db": st.lists(st.one_of(st.floats(-40, 60), st.sampled_from(
+        [1e4, -1e4, 4000.0, -4000.0, math.inf, -math.inf, math.nan])), max_size=2),
+    "seeds": st.lists(st.one_of(st.integers(0, 3), st.sampled_from([-1, 2**70, 1.5])),
+                      max_size=2),
+    "sample_rate_hz": st.one_of(st.floats(10, 200), st.sampled_from(
+        [0.0, -100.0, 5e-324, 1e-320, math.inf, math.nan])),
+    "duration_s": st.one_of(st.floats(0, 1), st.sampled_from(
+        [-1.0, 5e-324, math.inf, math.nan])),
+    "amplitudes": st.lists(st.one_of(st.floats(0, 5), st.sampled_from(
+        [-1.0, 1e300, 1.7e308, math.inf, math.nan])), max_size=3),
+    "frequencies_hz": st.lists(st.one_of(st.floats(0, 100), st.sampled_from(
+        [-1.0, 1e308, math.inf, math.nan])), max_size=3),
+    **{key: st.one_of(st.floats(0, 100), st.sampled_from([-1.0, 1e308, math.inf, math.nan]))
+       for key in ("f1_hz", "f2_hz", "f3_hz", "f_mod_hz")},
+})
 _contract = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -491,14 +570,15 @@ class TestExitCodeContract:
             argv += [f"{flag}={value}" for flag, value in flags.items()]
             assert _exit_code(argv) in (0, 2, 3, 4)
 
-    @_contract
+    @settings(_contract, max_examples=200)
     @given(configs=st.lists(_config, max_size=3),
-           embedding_dim=st.one_of(st.none(), st.integers(-2, 60)))
-    def test_bench(self, configs, embedding_dim):
+           embedding_dim=st.one_of(st.none(), st.integers(-2, 60)), fields=_spec_fields)
+    def test_bench(self, configs, embedding_dim, fields):
         doc = {
             "generator": "sine-mixture", "snr_db": [20.0], "seeds": [0],
             "sample_rate_hz": 100.0, "duration_s": 0.5, "embedding_dim": embedding_dim,
             "frequencies_hz": [5.0, 20.0], "amplitudes": [1.0, 0.5], "configs": configs,
+            **fields,
         }
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"

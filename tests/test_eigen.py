@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rmd.eigen import (
     EigenBasis,
     EigenSolverError,
-    GramMatrix,
     NumericalError,
     augmented,
     diff_operator,
@@ -23,7 +22,7 @@ from rmd.signals import TimeSeries
 
 def random_psd(rng, k):
     w = rng.standard_normal((k + 5, k))
-    return GramMatrix(w.T @ w)
+    return w.T @ w
 
 
 def solve_for(G, alpha, order=1):
@@ -72,26 +71,22 @@ class TestGram:
     def test_identity_trajectory(self):
         tm = build_trajectory_matrix(TimeSeries([1.0, 0.0, 1.0], 1.0), 2)
         # hand product of [[1,0],[0,1]] with itself
-        np.testing.assert_array_equal(gram(tm).matrix, np.eye(2))
+        np.testing.assert_array_equal(gram(tm), np.eye(2))
 
     def test_constant_signal(self):
         c, n, k = 3.0, 8, 2
         tm = build_trajectory_matrix(TimeSeries(np.full(n, c), 1.0), k)
         L = n - k + 1
-        np.testing.assert_allclose(gram(tm).matrix, c * c * L * np.ones((2, 2)), rtol=1e-12)
-        assert np.linalg.matrix_rank(gram(tm).matrix) == 1
+        np.testing.assert_allclose(gram(tm), c * c * L * np.ones((2, 2)), rtol=1e-12)
+        assert np.linalg.matrix_rank(gram(tm)) == 1
 
     def test_eigenvalues_match_singular_values(self, rng):
         # independent SVD oracle
         x = TimeSeries(rng.standard_normal(60), 1.0)
         tm = build_trajectory_matrix(x, 12)
-        evals = np.sort(np.linalg.eigvalsh(gram(tm).matrix))[::-1]
-        svals = np.linalg.svd(tm.data, compute_uv=False) ** 2
+        evals = np.sort(np.linalg.eigvalsh(gram(tm)))[::-1]
+        svals = np.linalg.svd(tm, compute_uv=False) ** 2
         np.testing.assert_allclose(evals, svals, rtol=1e-8)
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), data=st.data())
@@ -101,14 +96,14 @@ class TestGram:
         K = data.draw(st.integers(2, n - 1))
         x = TimeSeries(np.random.default_rng(seed).standard_normal(n), 1.0)
         tm = build_trajectory_matrix(x, K)
-        G = gram(tm).matrix
-        dense = tm.data.T @ tm.data
+        G = gram(tm)
+        dense = tm.T @ tm
         assert np.abs(G - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(G, G.T)
 
     def test_result_is_frozen(self, rng):
         tm = build_trajectory_matrix(TimeSeries(rng.standard_normal(40), 1.0), 9)
-        assert not gram(tm).matrix.flags.writeable
+        assert not gram(tm).flags.writeable
 
     def test_overflow_raises_numerical_error(self):
         tm = build_trajectory_matrix(TimeSeries(1e200 * np.sin(np.arange(50.0)), 1.0), 10)
@@ -230,7 +225,7 @@ class TestClosedFormBand:
         with pytest.raises(NumericalError, match="overflows"):
             augmented(R, 1e308)
         with pytest.raises(NumericalError):
-            solve_generalized(GramMatrix(np.eye(8)), 1e308, order)
+            solve_generalized(np.eye(8), 1e308, order)
 
     def test_overflow_bound_is_per_order(self):
         # alpha * 4 is finite, alpha * 16 is not
@@ -241,7 +236,7 @@ class TestClosedFormBand:
 
 class TestSolveGeneralized:
     def test_diagonal_standard_problem(self):
-        G = GramMatrix(np.diag([4.0, 1.0]))
+        G = np.diag([4.0, 1.0])
         basis = solve_for(G, alpha=0.0)
         np.testing.assert_allclose(basis.gammas, [4.0, 1.0], rtol=1e-12)
         np.testing.assert_allclose(np.abs(basis.vectors[:, 0]), [1.0, 0.0], atol=1e-12)
@@ -250,7 +245,7 @@ class TestSolveGeneralized:
     def test_closed_form_2x2(self):
         # G = 2I with M = [[2,-1],[-1,2]]: M(1,1)^T = (1,1)^T so gamma = 2,
         # M(1,-1)^T = 3(1,-1)^T so gamma = 2/3
-        G = GramMatrix(2.0 * np.eye(2))
+        G = 2.0 * np.eye(2)
         basis = solve_generalized(G, 1.0, 1)
         np.testing.assert_allclose(basis.gammas, [2.0, 2.0 / 3.0], rtol=1e-12)
         s = 1 / math.sqrt(2)
@@ -264,7 +259,7 @@ class TestSolveGeneralized:
         # independent oracle: plain symmetric eigensolver on G
         G = random_psd(rng, 12)
         basis = solve_for(G, alpha=0.0)
-        expected = np.sort(np.linalg.eigvalsh(G.matrix))[::-1]
+        expected = np.sort(np.linalg.eigvalsh(G))[::-1]
         np.testing.assert_allclose(basis.gammas, expected, rtol=1e-8)
 
     def test_unit_norm_and_sorted(self, rng):
@@ -281,7 +276,7 @@ class TestSolveGeneralized:
             G = random_psd(rng, 10)
             basis = solve_for(G, alpha=alpha)
             V = basis.vectors
-            energies = np.einsum("ki,ki->i", V, G.matrix @ V)
+            energies = np.einsum("ki,ki->i", V, G @ V)
             for gamma, mu, energy in zip(basis.gammas, basis.mu, energies):
                 assert gamma * (1 + alpha * mu) == pytest.approx(energy, rel=1e-8)
 
@@ -335,7 +330,7 @@ class TestSolveGeneralized:
         tm = build_trajectory_matrix(x, 10)
         G = gram(tm)
         basis = solve_for(G, alpha=0.0)
-        _, svals, Vt = np.linalg.svd(tm.data)
+        _, svals, Vt = np.linalg.svd(tm)
         np.testing.assert_allclose(basis.gammas, svals**2, rtol=1e-7)
         for i, v in enumerate(basis.vectors.T):
             err = min(
@@ -344,7 +339,7 @@ class TestSolveGeneralized:
             assert err < 1e-7
 
     def test_negligible_flagging(self):
-        G = GramMatrix(np.diag([1.0, 1e-20, 0.0]))
+        G = np.diag([1.0, 1e-20, 0.0])
         basis = solve_for(G, alpha=0.0)
         assert basis.negligible.tolist() == [False, True, True]
 
@@ -363,10 +358,10 @@ class TestSolveGeneralized:
         alpha = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3, exclude_min=True)))
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((int(rng.integers(1, K + 6)), K))  # rank-deficient too
-        G = GramMatrix(w.T @ w)
+        G = w.T @ w
         M = dense_M(order, K, alpha)
         basis = solve_generalized(G, alpha, order)
-        dense = sla.eigh(G.matrix, M, eigvals_only=True)[::-1]
+        dense = sla.eigh(G, M, eigvals_only=True)[::-1]
         assert np.abs(basis.gammas - dense).max() <= 1e-10 * np.abs(dense).max()
         V = basis.vectors
         MV = M @ V
@@ -378,7 +373,7 @@ class TestSolveGeneralized:
     def test_cholesky_failure_surfaces(self):
         # 1 + alpha rounds to alpha, so M = I + alpha R is the singular alpha R in
         # float64; a power of 4 makes the last Cholesky pivot exactly 0
-        G = GramMatrix(np.eye(2))
+        G = np.eye(2)
         with pytest.raises(EigenSolverError):
             solve_generalized(G, 2.0**1000, 1)
 
@@ -392,7 +387,7 @@ class TestSolveGeneralized:
 
     def test_dimension_mismatch(self):
         # a 2 x 2 Gram matrix has no room for the order-2 stencil
-        G = GramMatrix(np.eye(2))
+        G = np.eye(2)
         with pytest.raises(ValueError):
             solve_generalized(G, 1.0, 2)
 
@@ -442,7 +437,7 @@ class TestTruncatedSolve:
         cross = np.abs(V.T @ MV) / np.outer(mnorms, mnorms)
         np.fill_diagonal(cross, 0.0)
         assert cross.max() <= 1e-8
-        energies = np.einsum("ki,ki->i", V, G.matrix @ V)
+        energies = np.einsum("ki,ki->i", V, G @ V)
         np.testing.assert_allclose(basis.gammas * (1 + 2.5 * basis.mu), energies, rtol=1e-8)
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
         assert np.all(np.diff(basis.gammas) <= 0)
@@ -457,7 +452,7 @@ class TestTruncatedSolve:
 
     def test_n_pairs_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_pairs"):
-            solve_generalized(GramMatrix(np.eye(4)), 1.0, 1, n_pairs=0)
+            solve_generalized(np.eye(4), 1.0, 1, n_pairs=0)
 
     def test_basis_of_m_columns(self, rng):
         basis = solve_for(random_psd(rng, 6), alpha=0.5)

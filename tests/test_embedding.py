@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from rmd.embedding import (
     SignalTooShortError,
-    TrajectoryMatrix,
     build_trajectory_matrix,
     diagonal_average,
     embedding_dim_from_peak,
+    hankel_series,
     select_embedding_dimension,
 )
 from rmd.signals import SineComponent, TimeSeries, gen_sinusoid_mixture
@@ -48,17 +48,17 @@ class TestBuildTrajectoryMatrix:
     def test_five_sample_example(self):
         x = TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0], 1.0)
         tm = build_trajectory_matrix(x, 3)
-        np.testing.assert_array_equal(tm.data, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
-        assert tm.n_samples == 5 and tm.embedding_dim == 3
+        np.testing.assert_array_equal(tm, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+        assert tm.shape == (3, 3)
 
     def test_three_sample_example(self):
         tm = build_trajectory_matrix(TimeSeries([1.0, 2.0, 3.0], 1.0), 2)
-        np.testing.assert_array_equal(tm.data, [[1, 2], [2, 3]])
+        np.testing.assert_array_equal(tm, [[1, 2], [2, 3]])
 
     def test_constant_signal_rank_one(self):
         tm = build_trajectory_matrix(TimeSeries(np.full(20, 7.0), 1.0), 6)
-        assert np.all(tm.data == 7.0)
-        assert np.linalg.matrix_rank(tm.data) == 1
+        assert np.all(tm == 7.0)
+        assert np.linalg.matrix_rank(tm) == 1
 
     def test_k_out_of_range(self):
         x = TimeSeries(np.arange(10, dtype=float), 1.0)
@@ -71,7 +71,7 @@ class TestBuildTrajectoryMatrix:
     def test_anti_diagonals_constant(self, n, seed, frac):
         k = min(max(2, int(frac * n)), n - 1)
         x = TimeSeries(np.random.default_rng(seed).standard_normal(n), 1.0)
-        m = build_trajectory_matrix(x, k).data
+        m = build_trajectory_matrix(x, k)
         flipped = np.fliplr(m)
         for off in range(-m.shape[0] + 1, m.shape[1]):
             d = np.diagonal(flipped, offset=off)
@@ -80,17 +80,9 @@ class TestBuildTrajectoryMatrix:
     def test_data_is_a_read_only_view_of_the_samples(self):
         x = TimeSeries(np.arange(10.0), 1.0)
         tm = build_trajectory_matrix(x, 4)
-        assert np.shares_memory(tm.data, x.samples)
-        assert not tm.data.flags.writeable
-        np.testing.assert_array_equal(tm.series, x.samples)
-        # built directly, the matrix is copied and frozen
-        a = np.array(tm.data)
-        direct = TrajectoryMatrix(data=a, n_samples=10, embedding_dim=4)
-        assert not np.shares_memory(direct.data, a) and not direct.data.flags.writeable
-
-    def test_shape_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            TrajectoryMatrix(data=np.zeros((3, 2)), n_samples=99, embedding_dim=2)
+        assert np.shares_memory(tm, x.samples)
+        assert not tm.flags.writeable
+        np.testing.assert_array_equal(hankel_series(tm), x.samples)
 
 
 class TestDiagonalAverage:
@@ -112,7 +104,7 @@ class TestDiagonalAverage:
         k = min(max(2, int(2 + frac * (n - 3))), n - 1)
         x = np.random.default_rng(seed).standard_normal(n)
         tm = build_trajectory_matrix(TimeSeries(x, 1.0), k)
-        np.testing.assert_allclose(diagonal_average(tm.data, n), x, atol=1e-12)
+        np.testing.assert_allclose(diagonal_average(tm, n), x, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))

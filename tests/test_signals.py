@@ -139,6 +139,19 @@ class TestAddNoise:
         _, noise = add_noise_at_snr(mixture.with_samples(c * mixture.samples), -5.0, seed=3)
         assert np.array_equal(noise.samples, c * unit.samples)
 
+    @pytest.mark.parametrize("snr", [-4000.0, -3100.0, 4000.0, -1e4, 1e4, -math.inf, math.nan])
+    def test_snr_past_float_range_rejected(self, three_tone, snr):
+        # 10 ** (snr / 10) underflows to 0 (a ZeroDivisionError) or overflows; at
+        # -3100 dB sigma is inf
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise_at_snr(three_tone[0], snr, 0)
+
+    def test_overflowing_noise_rejected(self):
+        # sigma is finite, but x + noise leaves the float64 range: no RuntimeWarning
+        x = TimeSeries([1.5e308, -1.5e308, 1.5e308, -1.5e308], 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            add_noise_at_snr(x, 0.0, 0)
+
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             add_noise_at_snr(TimeSeries([0.0, 0.0, 0.0], 10.0), 0.0, 0)
