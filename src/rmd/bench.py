@@ -1,14 +1,18 @@
 """Experiment harness: synthetic SNR sweeps, the modulated-signal experiment,
 file runs, mode-to-truth scoring and report emission.
 
-Sweep cells run independently; a failed decomposition is recorded in its
-cell, never aborts the sweep.
+Sweep cells run independently, on a thread pool of one worker per usable
+core; a failed decomposition is recorded in its cell, never aborts the sweep.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import numbers
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -60,6 +64,21 @@ def _config_from_dict(doc: dict) -> DecompositionConfig:
     return DecompositionConfig(**{"n_modes": 3, **{SPEC_CONFIG_KEYS[k]: v for k, v in doc.items()}})
 
 
+def _snr(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"snr_db values must be numbers, got {v!r}")
+    return float(v)
+
+
+def _seed(v) -> int:
+    # an integral float such as 3.0 names seed 3; 1.5 or true names no seed
+    if isinstance(v, bool) or not (
+        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+    ):
+        raise ValueError(f"seeds must be integers, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one experiment sweep.
@@ -92,8 +111,8 @@ class ExperimentSpec:
     peak_tol_hz: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "snr_db", tuple(_snr(s) for s in self.snr_db))
+        object.__setattr__(self, "seeds", tuple(_seed(s) for s in self.seeds))
         object.__setattr__(self, "configs", tuple(self.configs))
         object.__setattr__(self, "frequencies_hz", tuple(self.frequencies_hz))
         object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
@@ -285,8 +304,8 @@ def _score_cell(
     ms: ModeSet,
     truths: list[TimeSeries],
     profile: tuple[list[float | None], np.ndarray],
-    am_truth_index: int | None = None,
 ) -> tuple[tuple[float | None, ...], tuple[ComponentScore, ...]]:
+    am_truth_index = 0 if spec.generator == "am-mixture" else None
     assignment = match_modes_to_truths(ms, *profile)
     truth_freqs = profile[0]
     scores = []
@@ -347,6 +366,13 @@ def _source(spec: ExperimentSpec) -> tuple[TimeSeries, list[TimeSeries] | None]:
     return read_timeseries_csv(spec.input_path, spec.sample_rate_hz), None
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Decompose every (snr, seed, configuration) cell of a spec.
 
@@ -355,38 +381,55 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     sideband-presence check.  A file is decomposed as read, once per
     configuration, and its cells carry the per-mode peaks and physiological
     band annotations only.  A failed decomposition is recorded in its cell.
+
+    The noise draws and the truths' profile are made first, in the caller;
+    the cells then run on a thread pool with one worker per usable core (at
+    most one per cell), each in a copy of the caller's context.  Cells come
+    back in grid order; each ``wall_ms`` times its own cell, waits included.
+    An exception in the caller, such as KeyboardInterrupt, cancels the cells
+    not yet started.
     """
     clean, truths = _source(spec)
-    am_truth_index = 0 if spec.generator == "am-mixture" else None
-    profile = None  # the truths' peaks and RMS order, made in the first scored cell
-    draws = [(None, None)] if truths is None else [
-        (snr, seed) for snr in spec.snr_db for seed in spec.seeds
-    ]
-    cells = []
-    for snr, seed in draws:
-        x = clean if snr is None else add_noise_at_snr(clean, snr, seed)[0]
-        for config in spec.configs:
-            t0 = time.perf_counter()
-            try:
-                ms = rmd_decompose(x, replace(config, K_override=spec.embedding_dim))
-                if truths is None:
-                    peaks = tuple(e.peak_frequency_hz for e in ms.report)
-                    outcome = dict(mode_peaks_hz=peaks,
-                                   band_labels=tuple(_band_label(p) for p in peaks))
-                else:
-                    profile = profile or _truth_profile(truths)
-                    peaks, scores = _score_cell(spec, ms, truths, profile, am_truth_index)
-                    outcome = dict(mode_peaks_hz=peaks, scores=scores)
-                outcome.update(success=True, error=None)
-            except Exception as exc:  # cell failures are data
-                outcome = dict(success=False, error=f"{type(exc).__name__}: {exc}")
-            cells.append(CellResult(
-                snr_db=snr, seed=seed, alpha=config.alpha, diff_order=config.diff_order,
-                theta=config.merge_threshold, n_modes=config.n_modes,
-                measure=config.similarity, wall_ms=(time.perf_counter() - t0) * 1e3,
-                **outcome,
-            ))
-    return ExperimentReport(spec=spec, cells=tuple(cells))
+    if truths is None:
+        draws, profile = [(None, None, clean)], None
+    else:
+        draws = [(snr, seed, add_noise_at_snr(clean, snr, seed)[0])
+                 for snr in spec.snr_db for seed in spec.seeds]
+        try:
+            profile = _truth_profile(truths)
+        except Exception as exc:  # recorded in every cell that reaches scoring
+            profile = f"{type(exc).__name__}: {exc}"
+
+    def run_cell(snr: float | None, seed: int | None, x: TimeSeries,
+                 config: DecompositionConfig) -> CellResult:
+        t0 = time.perf_counter()
+        try:
+            ms = rmd_decompose(x, replace(config, K_override=spec.embedding_dim))
+            if truths is None:
+                peaks = tuple(e.peak_frequency_hz for e in ms.report)
+                outcome = dict(mode_peaks_hz=peaks, success=True, error=None,
+                               band_labels=tuple(_band_label(p) for p in peaks))
+            elif isinstance(profile, str):  # making the truths' profile failed
+                outcome = dict(success=False, error=profile)
+            else:
+                peaks, scores = _score_cell(spec, ms, truths, profile)
+                outcome = dict(mode_peaks_hz=peaks, scores=scores, success=True, error=None)
+        except Exception as exc:  # cell failures are data
+            outcome = dict(success=False, error=f"{type(exc).__name__}: {exc}")
+        return CellResult(
+            snr_db=snr, seed=seed, alpha=config.alpha, diff_order=config.diff_order,
+            theta=config.merge_threshold, n_modes=config.n_modes, measure=config.similarity,
+            wall_ms=(time.perf_counter() - t0) * 1e3, **outcome,
+        )
+
+    cells = [(snr, seed, x, config) for snr, seed, x in draws for config in spec.configs]
+    pool = ThreadPoolExecutor(max_workers=min(len(cells), _usable_cores()))
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, run_cell, *cell)
+                   for cell in cells]
+        return ExperimentReport(spec=spec, cells=tuple(f.result() for f in futures))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

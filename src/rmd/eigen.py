@@ -10,8 +10,9 @@ U^-T G U^-1 y = gamma y by banded triangular solves; G, the first solve's
 result and that matrix are the only K x K arrays.  One symmetric eigensolve
 returns the top m eigenpairs, held as arrays: ``rmd_decompose`` asks for
 m = min(K, 8 n_modes), since clustering reads only the leading pairs.  LAPACK
-syevr computes just those m when 8 m <= K; otherwise syevd computes all K and
-the top m are kept.  Either driver's tridiagonalization is the only O(K^3)
+syevr computes just those m when 8 m <= K; otherwise syevd, called through
+numpy.linalg.eigh so that it releases the GIL, computes all K and the top m
+are kept.  Either driver's tridiagonalization is the only O(K^3)
 step; G, the reduction and each ||D v||^2 cost O(K^2) or O(K m).
 """
 
@@ -166,9 +167,10 @@ def solve_generalized(
     solves in O(K^2 order), and v = U^-1 y (Golub & Van Loan, Matrix
     Computations, 8.7); G, the first solve's result and C are the only K x K
     arrays.  With m = min(K, n_pairs), C y = gamma y is solved for its m
-    largest pairs by syevr when 8 m <= K and otherwise by syevd, keeping the
-    top m of its K pairs; both return the same pairs, and the cheaper driver
-    is picked.  Each vector is rescaled to unit Euclidean norm (reconstruction
+    largest pairs by scipy's syevr when 8 m <= K and otherwise by syevd through
+    ``numpy.linalg.eigh``, keeping the top m of its K pairs; both return the
+    same pairs, and the cheaper driver is picked.  A non-finite C raises
+    ValueError.  Each vector is rescaled to unit Euclidean norm (reconstruction
     assumes v^T v = 1); columns come back sorted by descending gamma, ties
     kept in solver order.  A factorization or convergence failure raises
     EigenSolverError.  Each roughness mu = ||D v||^2 is taken by differencing
@@ -192,8 +194,10 @@ def solve_generalized(
             w, Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1],
                             overwrite_a=True)
         else:
-            w, Y = sla.eigh(C, driver="evd", overwrite_a=True)
-    except sla.LinAlgError as exc:
+            # numpy's eigh is the same syevd, but releases the GIL, so sweep cells
+            # on other threads run while it does
+            w, Y = np.linalg.eigh(np.asarray_chkfinite(C))
+    except sla.LinAlgError as exc:  # numpy.linalg.LinAlgError, which scipy re-exports
         raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
     idx = np.argsort(-w, kind="stable")[:top]
     w = w[idx]

@@ -119,9 +119,17 @@ class ModeMetrics:
             raise ValueError("rmse must be >= 0")
 
 
+# the most samples a generator makes: 500 times the paper's N=2000, at 8 MB a
+# series, where rate x duration can otherwise ask for any amount of memory
+MAX_GENERATED_SAMPLES = 1_000_000
+
+
 def _n_samples(sample_rate: float, duration: float) -> int:
-    if duration <= 0 or sample_rate <= 0:
+    if not (duration > 0 and sample_rate > 0):
         raise ValueError("duration and sample_rate must be positive")
+    if duration * sample_rate > MAX_GENERATED_SAMPLES:
+        raise ValueError(f"duration * sample_rate = {duration * sample_rate:.3g} samples; "
+                         f"at most {MAX_GENERATED_SAMPLES} can be generated")
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("duration * sample_rate must be at least 2 samples")

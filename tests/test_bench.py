@@ -1,4 +1,7 @@
 import json
+import math
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +88,19 @@ class TestExperimentSpec:
         spec = sine_spec()
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("fields", [
+        {"seeds": (1.5, True)}, {"seeds": (True,)}, {"seeds": ("3",)}, {"seeds": (math.inf,)},
+        {"snr_db": (True,)}, {"snr_db": ("0",)}, {"snr_db": (None,)},
+    ])
+    def test_bad_seed_or_snr_rejected(self, fields):
+        with pytest.raises(ValueError, match="seeds|snr_db"):
+            sine_spec(**fields)
+
+    def test_integral_numbers_accepted(self):
+        spec = sine_spec(seeds=(3.0, np.int64(4), 2**70), snr_db=(-5, np.float32(2.5)))
+        assert spec.seeds == (3, 4, 2**70) and all(type(s) is int for s in spec.seeds)
+        assert spec.snr_db == (-5.0, 2.5) and all(type(s) is float for s in spec.snr_db)
+
 
 class TestSineExperiment:
     def test_near_noiseless_sanity(self):
@@ -149,6 +165,81 @@ class TestSineExperiment:
             assert (s.true_freq_hz, s.mode_index, s.peak_freq_hz, s.correlation) == (
                 u.true_freq_hz, u.mode_index, u.peak_freq_hz, u.correlation)
             assert s.rmse == c * u.rmse
+
+
+class TestConcurrentCells:
+    """Cells run on a thread pool sized by the usable cores; the report must not
+    depend on how many there are."""
+
+    @staticmethod
+    def cells_without_timing(report):
+        return [replace(c, wall_ms=0.0) for c in report.cells]
+
+    @pytest.mark.parametrize("name", ["sine_snr.json", "nonlinear.json"])
+    def test_worker_count_changes_nothing(self, monkeypatch, name):
+        spec = ExperimentSpec.from_dict(json.loads((SPECS / name).read_text()))
+        runs = []
+        interval = sys.getswitchinterval()
+        for cores in (1, 4):
+            monkeypatch.setattr(rmd.bench, "_usable_cores", lambda: cores)
+            sys.setswitchinterval(1e-5)  # interleave the cells' Python code finely
+            try:
+                runs.append(self.cells_without_timing(run_experiment(spec)))
+            finally:
+                sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+        assert [(c.snr_db, c.seed, c.alpha) for c in runs[0]] == [
+            (snr, seed, config.alpha)
+            for snr in spec.snr_db for seed in spec.seeds for config in spec.configs]
+
+    def test_failed_cell_recorded_in_place(self, monkeypatch):
+        spec = sine_spec(seeds=(0, 1, 2, 3), configs=(
+            DecompositionConfig(alpha=0.3, n_modes=3), DecompositionConfig(alpha=1.0, n_modes=3)))
+        clean, _ = _source(spec)
+        bad = add_noise_at_snr(clean, 60.0, 2)[0]
+        real = rmd.bench.rmd_decompose
+
+        def decompose(x, config):
+            if x == bad:
+                raise RuntimeError("injected")
+            return real(x, config)
+
+        monkeypatch.setattr(rmd.bench, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(rmd.bench, "rmd_decompose", decompose)
+        cells = run_experiment(spec).cells
+        assert [(c.seed, c.alpha) for c in cells] == [
+            (seed, alpha) for seed in range(4) for alpha in (0.3, 1.0)]
+        assert [c.error for c in cells if c.seed == 2] == ["RuntimeError: injected"] * 2
+        assert all(c.success and len(c.scores) == 3 for c in cells if c.seed != 2)
+
+    def test_truth_profile_failure_recorded_in_each_scored_cell(self, monkeypatch):
+        def broken(x):
+            raise ValueError("no spectrum")
+
+        monkeypatch.setattr(rmd.bench, "periodogram", broken)
+        cells = run_experiment(sine_spec()).cells
+        assert [c.error for c in cells] == ["ValueError: no spectrum"] * 2
+
+    def test_interrupt_cancels_pending_cells(self, monkeypatch):
+        # an exception that is not a cell failure reaches the caller, and the
+        # cells not yet started never run
+        calls = []
+        real = rmd.bench.rmd_decompose
+
+        def decompose(x, config):
+            calls.append(x)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            if len(calls) > 2:
+                time.sleep(0.2)  # the caller cancels the queue meanwhile
+            return real(x, config)
+
+        monkeypatch.setattr(rmd.bench, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(rmd.bench, "rmd_decompose", decompose)
+        spec = sine_spec(seeds=tuple(range(12)), embedding_dim=20)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec)
+        assert len(calls) < 12
 
 
 class TestNonlinearExperiment:

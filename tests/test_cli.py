@@ -153,6 +153,15 @@ class TestSynth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["sine3", "am"])
+    @pytest.mark.parametrize("rate, duration", [("1e12", "1000"), ("1e308", "1e308")])
+    def test_length_past_the_cap_exits_2(self, tmp_path, capsys, kind, rate, duration):
+        out = tmp_path / "x.csv"
+        code = run_cli("synth", kind, "--sample-rate", rate, "--duration", duration,
+                       "--out", str(out))
+        assert code == 2
+        assert "at most" in capsys.readouterr().err and not out.exists()
+
 
 class TestDecompose:
     def test_single_tone(self, tone_file, tmp_path, capsys):
@@ -398,6 +407,31 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"seeds": [1.5, True]},
+        {"seeds": [True]},
+        {"seeds": ["3"]},
+        {"snr_db": [True]},
+        {"snr_db": ["0"]},
+    ])
+    def test_bad_seed_or_snr_exits_2(self, tmp_path, capsys, fields):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "configs": [{"alpha": 1.0}], **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_length_past_the_cap_exits_2(self, tmp_path, capsys):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "sample_rate_hz": 1e12, "duration_s": 1000, "configs": [{"alpha": 1.0}]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "at most" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_spec_exits_3(self, tmp_path):

@@ -397,14 +397,20 @@ class TestTruncatedSolve:
 
     @staticmethod
     def solve_spy(monkeypatch):
+        # syevr comes through scipy's eigh, syevd through numpy's
         drivers = []
-        eigh = sla.eigh
+        eigh, np_eigh = sla.eigh, np.linalg.eigh
 
         def spy(*args, **kwargs):
             drivers.append(kwargs["driver"])
             return eigh(*args, **kwargs)
 
+        def np_spy(*args, **kwargs):
+            drivers.append("evd")
+            return np_eigh(*args, **kwargs)
+
         monkeypatch.setattr(sla, "eigh", spy)
+        monkeypatch.setattr(np.linalg, "eigh", np_spy)
         return drivers
 
     # syevr runs when 8 m <= K, syevd (then the top m are kept) otherwise
@@ -425,6 +431,26 @@ class TestTruncatedSolve:
         assert cos.min() >= 1 - 1e-10
         np.testing.assert_allclose(top.mu, full.mu[:m], rtol=1e-8, atol=1e-12)
         assert np.array_equal(top.negligible, full.negligible[:m])
+
+    # syevd runs through numpy's eigh, which releases the GIL; scipy's
+    # driver="evd" is the reference.  Both wrap LAPACK syevd, but their BLAS
+    # builds may differ, so no bits are pinned.
+    @pytest.mark.parametrize("K", [8, 24, 50, 200, 300])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_evd_branch_matches_scipy_evd(self, rng, monkeypatch, K, order):
+        G = random_psd(rng, K)
+        for n_pairs in (None, K // 8 + 1):  # all pairs, and the fewest that take syevd
+            basis = solve_generalized(G, 1.5, order, n_pairs=n_pairs)
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigh",
+                                lambda a: calls.append(a) or sla.eigh(a, driver="evd"))
+            ref = solve_generalized(G, 1.5, order, n_pairs=n_pairs)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert basis.vectors.shape == ref.vectors.shape
+            assert np.abs(basis.gammas - ref.gammas).max() <= 1e-12 * ref.gammas[0]
+            cos = np.abs(np.einsum("ki,ki->i", basis.vectors, ref.vectors))
+            assert cos.min() >= 1 - 1e-12
 
     @pytest.mark.parametrize("K, m", [(200, 16), (200, 64)])
     def test_contracts_hold_on_the_returned_pairs(self, rng, K, m):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmd.signals import (
+    MAX_GENERATED_SAMPLES,
     CsvFormatError,
     ModeMetrics,
     SineComponent,
@@ -78,6 +79,16 @@ class TestSinusoidMixture:
             gen_sinusoid_mixture([], 10.0, 1.0)
         with pytest.raises(ValueError):
             gen_sinusoid_mixture([SineComponent(1.0, 1.0)], 10.0, 0.0)
+
+    def test_length_capped(self):
+        # rate x duration past the cap is refused before anything is allocated
+        cap = MAX_GENERATED_SAMPLES
+        assert len(gen_sinusoid_mixture([SineComponent(1.0, 1.0)], float(cap), 1.0)[0]) == cap
+        for rate, duration in ((cap + 1.0, 1.0), (1e12, 1000.0), (1e308, 1e308)):
+            with pytest.raises(ValueError, match="at most"):
+                gen_sinusoid_mixture([SineComponent(1.0, 1.0)], rate, duration)
+            with pytest.raises(ValueError, match="at most"):
+                gen_am_mixture(3.0, 8.0, 31.0, 0.5, rate, duration)
 
 
 class TestAmMixture:
