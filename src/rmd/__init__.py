@@ -10,7 +10,7 @@ unregularized special case.
 """
 
 from .bench import ExperimentReport, ExperimentSpec, run_experiment, write_report
-from .eigen import EigenSolverError, NumericalError
+from .eigen import NumericalError
 from .embedding import SignalTooShortError
 from .modes import (
     DecompositionConfig,
@@ -62,6 +62,5 @@ __all__ = [
     "write_report",
     # errors
     "NumericalError",
-    "EigenSolverError",
     "SignalTooShortError",
 ]

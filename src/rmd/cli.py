@@ -14,9 +14,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from .embedding import SignalTooShortError, embedding_dim_from_peak
-from .eigen import EigenSolverError, NumericalError
+from .eigen import NumericalError
 from .modes import (
     SIMILARITY_MEASURES,
     DecompositionConfig,
@@ -144,13 +146,18 @@ def _resolve_sample_rate(flag_value: float | None, input_path: str) -> float:
 def _load_series(path: str, sample_rate: float | None):
     rate = _resolve_sample_rate(sample_rate, path)
     try:
-        return read_timeseries_csv(path, rate)
+        x = read_timeseries_csv(path, rate)
     except FileNotFoundError:
         raise _CliError(EXIT_IO, f"input file not found: {path}")
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
     except CsvFormatError as exc:
         raise _CliError(EXIT_IO, f"{path}: {exc}")
+    # 1 / rate or N / rate past the float64 range: every bin would read 0 Hz
+    if not (np.diff(np.fft.rfftfreq(len(x), 1.0 / rate)) > 0).all():
+        raise _CliError(EXIT_USAGE, f"sample rate {rate:g} Hz collapses the frequency grid "
+                                    f"of {len(x)} samples")
+    return x
 
 
 def _cmd_decompose(args) -> int:
@@ -170,9 +177,9 @@ def _cmd_decompose(args) -> int:
     x = _load_series(args.input, args.sample_rate)
     try:
         ms = rmd_decompose(x, config)
-    except (SignalTooShortError, EigenSolverError, NumericalError, FloatingPointError) as exc:
+    except (SignalTooShortError, NumericalError) as exc:
         raise _CliError(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # past the config, only -K above N - 1 raises it
         raise _CliError(EXIT_USAGE, str(exc))
     try:
         write_modeset(ms, args.out)
@@ -269,10 +276,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     x = _load_series(args.input, args.sample_rate)
-    try:
-        spec = periodogram(x)
-    except ValueError as exc:  # a rate so small that the frequency grid collapses to 0
-        raise _CliError(EXIT_USAGE, str(exc))
+    spec = periodogram(x)
     peak = dominant_frequency(spec)
     if len(x) < 12:
         raise _CliError(

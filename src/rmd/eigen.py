@@ -27,12 +27,8 @@ import scipy.linalg as sla
 from .embedding import hankel_series
 
 
-class EigenSolverError(RuntimeError):
-    """Numerical failure inside the generalized eigensolver."""
-
-
 class NumericalError(ArithmeticError):
-    """A decomposition met numbers it cannot use, or failed an internal check."""
+    """A decomposition met numbers it cannot use, or its solver or a check failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +144,7 @@ def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
     """U^-1 B (``trans="N"``) or U^-T B (``"T"``) for U in upper band storage."""
     X, info = sla.lapack.dtbtrs(U, B, trans=trans)
     if info != 0:
-        raise EigenSolverError(f"banded triangular solve failed: LAPACK info {info}")
+        raise NumericalError(f"banded triangular solve failed: LAPACK info {info}")
     return X
 
 
@@ -169,12 +165,11 @@ def solve_generalized(
     arrays.  With m = min(K, n_pairs), C y = gamma y is solved for its m
     largest pairs by scipy's syevr when 8 m <= K and otherwise by syevd through
     ``numpy.linalg.eigh``, keeping the top m of its K pairs; both return the
-    same pairs, and the cheaper driver is picked.  A non-finite C raises
-    ValueError.  Each vector is rescaled to unit Euclidean norm (reconstruction
-    assumes v^T v = 1); columns come back sorted by descending gamma, ties
-    kept in solver order.  A factorization or convergence failure raises
-    EigenSolverError.  Each roughness mu = ||D v||^2 is taken by differencing
-    v, in O(K m).
+    same pairs, and the cheaper driver is picked.  Each vector is rescaled to
+    unit Euclidean norm (reconstruction assumes v^T v = 1); columns come back
+    sorted by descending gamma, ties kept in solver order.  A factorization or
+    convergence failure, or a non-finite C, raises NumericalError.  Each
+    roughness mu = ||D v||^2 is taken by differencing v, in O(K m).
 
     Eigenvalues below ``EIGEN_FLOOR * max(gamma)`` are flagged negligible;
     downstream they route to the residual instead of seeding modes.
@@ -197,8 +192,8 @@ def solve_generalized(
             # numpy's eigh is the same syevd, but releases the GIL, so sweep cells
             # on other threads run while it does
             w, Y = np.linalg.eigh(np.asarray_chkfinite(C))
-    except sla.LinAlgError as exc:  # numpy.linalg.LinAlgError, which scipy re-exports
-        raise EigenSolverError(f"generalized eigensolver failed: {exc}") from exc
+    except (sla.LinAlgError, ValueError) as exc:  # numpy's LinAlgError; ValueError: C not finite
+        raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
     idx = np.argsort(-w, kind="stable")[:top]
     w = w[idx]
     V = _band_solve(U, Y[:, idx])

@@ -28,7 +28,9 @@ def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> 
     if f_max is None or f_max / sample_rate < 1e-3:
         k = upper
     else:
-        k = int(math.floor(1.2 * sample_rate / f_max + 0.5))
+        # scaled exactly by 2**-s, so 1.2 * rate cannot overflow; the same quotient
+        s = math.frexp(sample_rate)[1]
+        k = int(math.floor(1.2 * math.ldexp(sample_rate, -s) / math.ldexp(f_max, -s) + 0.5))
     return min(max(k, MIN_EMBEDDING_DIM), upper)
 
 

@@ -47,7 +47,7 @@ class DecompositionConfig:
     alpha           bandwidth regularization weight
     diff_order      1 or 2, the finite-difference penalty order
     similarity      one of cosine | pearson | normalized-euclidean | spectral
-    K_override      fixed embedding dimension instead of the spectral heuristic
+    K_override      fixed embedding dimension, >= diff_order + 1, instead of the heuristic
     shrinkage       apply per-eigenvector gains 1/(1 + alpha*mu) at reconstruction
     """
 
@@ -76,8 +76,9 @@ class DecompositionConfig:
             raise ValueError("diff_order must be 1 or 2")
         if self.similarity not in SIMILARITY_MEASURES:
             raise ValueError(f"unknown similarity measure {self.similarity!r}")
-        if self.K_override is not None and self.K_override < 2:
-            raise ValueError("K_override must be >= 2")
+        if self.K_override is not None and self.K_override < self.diff_order + 1:
+            raise ValueError(f"K_override must be >= {self.diff_order + 1} "
+                             f"for diff_order {self.diff_order}")
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,11 @@ def similarity(
     ``b`` is one vector of a's length, giving a float, or a matrix whose
     columns are each compared with ``a``, giving one value per column.
     cosine and pearson are reported as absolute values (eigenvector sign is
-    meaningless).  normalized-euclidean is the per-coordinate sigma-scaled
-    distance mapped through 1/(1+d); ``coord_scale`` supplies the sigmas and
-    defaults to the per-coordinate standard deviation of ``a`` and ``b``
-    together.  spectral compares DFT magnitude profiles, which makes
+    meaningless), and a zero-norm profile, such as a constant vector's pearson
+    one, is similar to nothing (0).  normalized-euclidean is the per-coordinate
+    sigma-scaled distance mapped through 1/(1+d); ``coord_scale`` supplies the
+    sigmas and defaults to the per-coordinate standard deviation of ``a`` and
+    ``b`` together.  spectral compares DFT magnitude profiles, which makes
     quadrature pairs of the same frequency nearly identical.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -152,9 +154,7 @@ def similarity(
         fa, FB = _profile(a, measure), _profile(B, measure)
         with np.errstate(invalid="ignore"):
             sims = np.abs(FB.T @ fa) / (np.linalg.norm(FB, axis=0) * np.linalg.norm(fa))
-        if np.isnan(sims).any():
-            what = "zero-variance" if measure == "pearson" else "zero-norm"
-            raise ValueError(f"{measure} similarity undefined for {what} input")
+        sims[np.isnan(sims)] = 0.0  # 0 / 0: a zero-norm profile
     return float(sims[0]) if b.ndim == 1 else sims
 
 
@@ -299,20 +299,16 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     the input.
 
     The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1), and
-    ``_scale_back`` returns its results to the scale of x exactly.
+    ``_scale_back`` returns its results to the scale of x exactly.  Before any
+    work, N < 12 raises SignalTooShortError and a ``K_override`` above N - 1
+    ValueError; any later failure is a NumericalError.
     """
     n = len(x)
     if n < 12:
         raise SignalTooShortError(f"need at least 12 samples to decompose, got {n}")
     xs, shift = _unit_scale(x)
-    if config.K_override is not None:
-        K = config.K_override
-        if not 2 <= K <= n - 1:
-            raise ValueError(f"K_override={K} out of range for N={n}")
-    else:
-        K = select_embedding_dimension(xs)
-
-    X = build_trajectory_matrix(xs, K)
+    K = config.K_override if config.K_override is not None else select_embedding_dimension(xs)
+    X = build_trajectory_matrix(xs, K)  # the one check on the caller's K: K <= N - 1
     G = gram(X)
     basis = solve_generalized(G, config.alpha, config.diff_order,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)

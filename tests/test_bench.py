@@ -380,7 +380,7 @@ class TestReportArtifacts:
         cell = CellResult(
             snr_db=-5.0, seed=1, alpha=1.0, diff_order=1, theta=0.85,
             n_modes=3, measure="spectral", success=False,
-            error="EigenSolverError: synthetic failure", wall_ms=1.25,
+            error="NumericalError: synthetic failure", wall_ms=1.25,
         )
         report = ExperimentReport(spec=sine_spec(), cells=(cell,))
         assert ExperimentReport.from_json(report.to_json()) == report

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from signal_families import hostile_valid_samples
 
 import rmd
 from rmd.cli import _build_parser, main
@@ -285,6 +286,13 @@ class TestDecompose:
         assert run_cli(*argv) == 2
         assert name in capsys.readouterr().err
 
+    def test_k_below_the_stencil_exits_2_before_missing_file(self, tmp_path, capsys):
+        # -K 2 cannot hold the order-2 stencil whatever the input holds
+        argv = ["decompose", str(tmp_path / "nope.csv"), "--sample-rate", "100",
+                "-r", "1", "-K", "2", "--order", "2", "--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        assert "K_override must be >= 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "sidecar-1e400"])
     def test_non_finite_sample_rate_exits_2(self, tone_file, tmp_path, capsys, source):
         argv = ["decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o")]
@@ -338,6 +346,23 @@ class TestSpectrum:
     def test_missing_file_exits_3(self, tmp_path):
         code = run_cli("spectrum", str(tmp_path / "gone.csv"), "--sample-rate", "10")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["spectrum", "decompose"])
+    def test_largest_sample_rates_suggest_the_unit_k(self, tone_file, tmp_path, capsys,
+                                                       command):
+        # 1.2 * rate overflows past about 1.5e308; the K heuristic must not
+        ks = []
+        for rate in ("200", "1.7e308", "1.7976931348623157e308"):
+            argv = [command, str(tone_file), "--sample-rate", rate]
+            out = tmp_path / rate
+            argv += ["-r", "2", "--out", str(out)] if command == "decompose" else []
+            assert run_cli(*argv) == 0
+            if command == "decompose":
+                ks.append(json.loads((out / "decomposition.json").read_text())["embedding_dim"])
+            else:
+                ks.append(capsys.readouterr().out.split("suggested K=")[1].split()[0])
+        assert ks[1:] == ks[:1] * 2
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["spectrum", "decompose"])
     def test_subnormal_sample_rate_exits_2(self, tone_file, tmp_path, capsys, command):
@@ -514,8 +539,9 @@ _valid_flags = st.fixed_dictionaries(
     optional={
         "--alpha": st.floats(0, 50), "--theta": st.floats(0.05, 1.01),
         "--embedding-dim": st.integers(2, 40), "--sample-rate": st.floats(0.1, 1000),
+        "--order": st.sampled_from([1, 2]), "--measure": st.sampled_from(SIMILARITY_MEASURES),
     },
-).map(lambda flags: {k: repr(v) for k, v in flags.items()})
+).map(lambda flags: {k: v if isinstance(v, str) else repr(v) for k, v in flags.items()})
 _row = st.one_of(
     st.floats().map(repr), st.integers(-1000, 1000).map(str), st.just("nan"), st.just(""),
     _garbage, st.tuples(st.floats(0, 100), st.floats()).map(lambda t: f"{t[0]!r},{t[1]!r}"),
@@ -526,10 +552,10 @@ def _csv(header: str, rows) -> bytes:
     return (header + "".join(f"{r}\n" for r in rows)).encode("utf-8")
 
 
-# finite samples of any magnitude, under an optional header
-_valid_body = st.builds(_csv, st.sampled_from(["", "value\n"]),
-                        st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                 min_size=12, max_size=64))
+# a header, and finite samples of any magnitude or a hostile but valid family
+_valid_body = st.tuples(st.sampled_from(["", "value\n"]), st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12, max_size=64),
+    hostile_valid_samples(1e300)))
 _hostile_body = st.builds(_csv, st.sampled_from(["", "value\n", "time,value\n"]),
                           st.lists(_row, max_size=64)) | st.binary(max_size=64)
 _rate_doc = st.floats(0.1, 1000).map(lambda v: json.dumps({"sample_rate_hz": v}))
@@ -542,7 +568,8 @@ _hostile_sidecar = st.one_of(
 _fault = st.one_of(
     st.none(),
     st.tuples(st.just("flag"), st.sampled_from(
-        ["--modes", "--alpha", "--theta", "--embedding-dim", "--sample-rate"]), _hostile),
+        ["--modes", "--alpha", "--theta", "--embedding-dim", "--sample-rate", "--order",
+         "--measure"]), _hostile),
     st.tuples(st.just("body"), _hostile_body),
     st.tuples(st.just("sidecar"), _hostile_sidecar),
 )
@@ -586,8 +613,21 @@ _contract = settings(max_examples=60, deadline=None,
 class TestExitCodeContract:
     @_contract
     @given(flags=_valid_flags, body=_valid_body, sidecar=_rate_doc, fault=_fault)
+    # an impulse at K=2 gives the eigenvector [1, 1] / sqrt(2), whose pearson
+    # profile is zero: it must seed its own cluster, not fail the run
+    @example(flags={"--modes": "3", "--alpha": "5", "--embedding-dim": "2",
+                    "--sample-rate": "10", "--measure": "pearson"},
+             body=("", [0.0] * 20 + [1.0] + [0.0] * 43), sidecar=None, fault=None)
     def test_decompose(self, flags, body, sidecar, fault):
+        # with no hostile part, exit 2 if and only if -K cannot embed N samples
+        # at the drawn order, and otherwise 0 or 4
+        flags = dict(flags)
+        header, samples = body
+        K, order = int(flags.get("--embedding-dim", 0)), int(flags.get("--order", 1))
+        expected = (2,) if K and not order + 1 <= K <= len(samples) - 1 else (0, 4)
+        body = _csv(header, map(repr, samples))
         if fault is not None:
+            expected = (0, 2, 3, 4)
             kind, *value = fault
             if kind == "flag":
                 flags[value[0]] = value[1]
@@ -602,7 +642,7 @@ class TestExitCodeContract:
                 path.with_suffix(".json").write_text(sidecar, encoding="utf-8")
             argv = ["decompose", str(path), "--out", str(Path(tmp) / "out")]
             argv += [f"{flag}={value}" for flag, value in flags.items()]
-            assert _exit_code(argv) in (0, 2, 3, 4)
+            assert _exit_code(argv) in expected
 
     @settings(_contract, max_examples=200)
     @given(configs=st.lists(_config, max_size=3),

@@ -24,7 +24,7 @@ PUBLIC_API = [
     "add_noise_at_snr", "periodogram", "score_mode",
     "read_timeseries_csv", "write_timeseries_csv", "CsvFormatError",
     "ExperimentSpec", "ExperimentReport", "run_experiment", "write_report",
-    "NumericalError", "EigenSolverError", "SignalTooShortError",
+    "NumericalError", "SignalTooShortError",
 ]
 
 

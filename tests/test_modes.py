@@ -1,13 +1,17 @@
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from signal_families import hostile_valid_samples
 
-from rmd.eigen import EigenBasis, gram, solve_generalized
-from rmd.embedding import build_trajectory_matrix, diagonal_average
+import rmd.modes
+from rmd.eigen import EigenBasis, NumericalError, gram, solve_generalized
+from rmd.embedding import SignalTooShortError, build_trajectory_matrix, diagonal_average
 from rmd.modes import (
     SIMILARITY_MEASURES,
     DecompositionConfig,
@@ -70,6 +74,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecompositionConfig(n_modes=1, similarity="taxicab")
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_k_override_below_the_stencil_rejected(self, order):
+        # D has K - order rows: the config refuses a K it cannot build, before any data
+        with pytest.raises(ValueError, match=f"K_override must be >= {order + 1}"):
+            DecompositionConfig(n_modes=1, diff_order=order, K_override=order)
+        assert DecompositionConfig(n_modes=1, diff_order=order, K_override=order + 1)
+
     @pytest.mark.parametrize("field, value", [
         ("n_modes", float("nan")), ("n_modes", 2.5), ("n_modes", True),
         ("diff_order", 1.0), ("K_override", 50.0), ("K_override", False),
@@ -99,14 +110,15 @@ class TestSimilarity:
         assert similarity(a, b, "cosine") < 0.05
         assert similarity(a, b, "spectral") > 0.999
 
-    def test_zero_norm_rejected(self):
+    def test_zero_norm_is_similar_to_nothing(self):
+        # a constant eigenvector's pearson profile is zero: it must join no cluster
         z = np.zeros(8)
-        v = np.ones(8)
-        for measure in ("cosine", "spectral"):
-            with pytest.raises(ValueError):
-                similarity(z, v, measure)
-        with pytest.raises(ValueError):
-            similarity(np.full(8, 2.0), v, "pearson")
+        v = np.arange(8.0)
+        for measure in ("cosine", "pearson", "spectral"):
+            assert similarity(z, v, measure) == 0.0
+            assert similarity(v, z, measure) == 0.0
+        assert similarity(np.full(8, 2.0), v, "pearson") == 0.0
+        assert similarity(v, np.column_stack([np.ones(8), v]), "pearson").tolist() == [0.0, 1.0]
 
     def test_normalized_euclidean_in_unit_interval(self, rng):
         a = rng.standard_normal(12)
@@ -408,6 +420,72 @@ class TestRmdDecompose:
         with pytest.raises(ValueError):
             rmd_decompose(TimeSeries(np.arange(8, dtype=float), 1.0),
                           DecompositionConfig(n_modes=1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(samples=hostile_valid_samples(1e150), k=st.integers(0, 64),
+           order=st.sampled_from([1, 2]), measure=st.sampled_from(SIMILARITY_MEASURES),
+           alpha=st.floats(0, 100), theta=st.floats(0.05, 1.01), n_modes=st.integers(1, 6),
+           shrinkage=st.booleans())
+    @example(samples=[0.0] * 20 + [1.0] + [0.0] * 43, k=2, order=1, measure="pearson",
+             alpha=5.0, theta=0.85, n_modes=3, shrinkage=False)
+    def test_hostile_but_valid_input(self, samples, k, order, measure, alpha, theta,
+                                     n_modes, shrinkage):
+        # k = 0 takes the heuristic K; any other k is folded into [order + 1, N - 1]
+        # (k itself when it lies there)
+        n = len(samples)
+        x = TimeSeries(samples, 10.0)
+        cfg = DecompositionConfig(
+            n_modes=n_modes, merge_threshold=theta, alpha=alpha, diff_order=order,
+            similarity=measure, shrinkage=shrinkage,
+            K_override=order + 1 + (k - order - 1) % (n - order - 1) if k else None,
+        )
+        bases = []
+
+        def spy(*args, **kwargs):
+            bases.append(solve_generalized(*args, **kwargs))
+            return bases[-1]
+
+        with mock.patch.object(rmd.modes, "solve_generalized", spy):
+            try:
+                ms = rmd_decompose(x, cfg)
+            except (NumericalError, SignalTooShortError):
+                return
+        scale = np.abs(x.samples).max()
+        assert np.abs(total(ms) - x.samples).max() <= 1e-9 * scale
+        # eigenvectors are M-orthogonal, M = I + alpha D^T D
+        V = bases[0].vectors
+        D = np.diff(np.eye(ms.embedding_dim), n=order, axis=0)
+        MV = V + alpha * (D.T @ (D @ V))
+        mnorms = np.sqrt(np.einsum("ki,ki->i", V, MV))
+        cross = np.abs(V.T @ MV) / np.outer(mnorms, mnorms)
+        np.fill_diagonal(cross, 0.0)
+        assert cross.max(initial=0.0) <= 1e-8
+        for e in ms.report:  # a zero mode has no peak
+            assert all(map(math.isfinite, (e.gamma, e.mu, e.energy))) and e.members >= 1
+            assert e.peak_frequency_hz is None or math.isfinite(e.peak_frequency_hz)
+
+    @pytest.mark.parametrize("cfg", [
+        DecompositionConfig(n_modes=4, alpha=8.0),
+        DecompositionConfig(n_modes=8, alpha=10.0, merge_threshold=0.6, diff_order=2,
+                            similarity="pearson", K_override=60),
+        DecompositionConfig(n_modes=3, alpha=2.0, diff_order=2, shrinkage=True,
+                            similarity="normalized-euclidean", K_override=40),
+    ])
+    def test_negated_input_negates_modes_bit_for_bit(self, cfg):
+        # every step is sign-symmetric: G(-x) = G(x), and the reconstruction is
+        # linear in x with round-to-nearest arithmetic
+        mixture, _ = gen_sinusoid_mixture(
+            [SineComponent(2.0, 3.0), SineComponent(5.0, 0.5), SineComponent(19.0, 4.0)],
+            200.0, 2.0)
+        for snr in (-5.0, 10.0):
+            for seed in range(10):
+                x, _ = add_noise_at_snr(mixture, snr, seed)
+                a = rmd_decompose(x, cfg)
+                b = rmd_decompose(x.with_samples(-x.samples), cfg)
+                assert b.embedding_dim == a.embedding_dim and len(b.modes) == len(a.modes)
+                for ma, mb in zip([*a.modes, a.residual], [*b.modes, b.residual]):
+                    assert np.array_equal(mb.samples, -ma.samples)
+                assert b.report == a.report and b.warnings == a.warnings
 
     def test_k_override_out_of_range(self):
         x = TimeSeries(np.arange(20, dtype=float), 1.0)
