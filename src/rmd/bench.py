@@ -86,7 +86,8 @@ class ExperimentSpec:
     Synthetic generators draw a fresh noise realization per (snr, seed) and
     decompose it once per configuration.  ``file`` runs skip noise
     injection and scoring and simply decompose the ingested signal.  Every
-    configuration is decomposed with ``embedding_dim`` as its ``K_override``.
+    configuration is stored with ``embedding_dim`` as its ``K_override``, so
+    one that the config rejects is rejected here, before any cell runs.
     """
 
     generator: str
@@ -113,7 +114,8 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(_snr(s) for s in self.snr_db))
         object.__setattr__(self, "seeds", tuple(_seed(s) for s in self.seeds))
-        object.__setattr__(self, "configs", tuple(self.configs))
+        object.__setattr__(self, "configs", tuple(
+            replace(c, K_override=self.embedding_dim) for c in self.configs))
         object.__setattr__(self, "frequencies_hz", tuple(self.frequencies_hz))
         object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
         if self.phases is not None:
@@ -128,10 +130,11 @@ class ExperimentSpec:
         else:
             if not self.input_path:
                 raise ValueError("file runs need input_path")
-        if self.generator == "sine-mixture" and (
-            len(self.frequencies_hz) != len(self.amplitudes)
+        if self.generator == "sine-mixture" and not (
+            len(self.frequencies_hz) == len(self.amplitudes)
+            == len(self.phases or self.frequencies_hz)
         ):
-            raise ValueError("frequencies_hz and amplitudes must have equal length")
+            raise ValueError("frequencies_hz, amplitudes and phases must have equal length")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
@@ -182,6 +185,7 @@ class CellResult:
     success: bool
     error: str | None
     wall_ms: float
+    shrinkage: bool = False  # absent from a v1 report.json
     mode_peaks_hz: tuple[float | None, ...] = ()
     scores: tuple[ComponentScore, ...] = ()
     band_labels: tuple[str, ...] = ()
@@ -201,12 +205,13 @@ class ExperimentReport:
             if not cell.success:
                 continue
             for score in cell.scores:
+                # n_modes and shrinkage last: configs that differ in neither keep their order
                 key = (cell.snr_db, cell.alpha, cell.diff_order, cell.theta,
-                       cell.measure, score.true_freq_hz)
+                       cell.measure, score.true_freq_hz, cell.n_modes, cell.shrinkage)
                 groups.setdefault(key, []).append(score)
         out = []
         for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
-            snr, alpha, order, theta, measure, freq = key
+            snr, alpha, order, theta, measure, freq, n_modes, shrinkage = key
             scores = groups[key]
             matched = [s for s in scores if s.matched]
             corrs = [s.correlation for s in matched if s.correlation is not None]
@@ -221,6 +226,8 @@ class ExperimentReport:
                 "diff_order": order,
                 "theta": theta,
                 "measure": measure,
+                "n_modes": n_modes,
+                "shrinkage": shrinkage,
                 "true_freq_hz": freq,
                 "n_cells": len(scores),
                 "n_matched": len(matched),
@@ -404,7 +411,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                  config: DecompositionConfig) -> CellResult:
         t0 = time.perf_counter()
         try:
-            ms = rmd_decompose(x, replace(config, K_override=spec.embedding_dim))
+            ms = rmd_decompose(x, config)
             if truths is None:
                 peaks = tuple(e.peak_frequency_hz for e in ms.report)
                 outcome = dict(mode_peaks_hz=peaks, success=True, error=None,
@@ -419,7 +426,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         return CellResult(
             snr_db=snr, seed=seed, alpha=config.alpha, diff_order=config.diff_order,
             theta=config.merge_threshold, n_modes=config.n_modes, measure=config.similarity,
-            wall_ms=(time.perf_counter() - t0) * 1e3, **outcome,
+            shrinkage=config.shrinkage, wall_ms=(time.perf_counter() - t0) * 1e3, **outcome,
         )
 
     cells = [(snr, seed, x, config) for snr, seed, x in draws for config in spec.configs]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .embedding import SignalTooShortError, embedding_dim_from_peak
+from .embedding import MIN_SAMPLES, SignalTooShortError, embedding_dim_from_peak
 from .eigen import NumericalError
 from .modes import (
     SIMILARITY_MEASURES,
@@ -263,12 +263,13 @@ def _cmd_bench(args) -> int:
     print(f"{len(report.cells)} cell(s), {n_failed} failed; artifacts in {args.out}")
     aggs = report.aggregates()
     if aggs:
-        print("snr_db  alpha  order  true_hz  matched  mean_corr  mean|dpeak|")
+        print("snr_db  alpha  order  modes  shrink  true_hz  matched  mean_corr  mean|dpeak|")
         for a in aggs:
             corr = "-" if a["mean_correlation"] is None else f"{a['mean_correlation']:.3f}"
             dpk = "-" if a["mean_abs_peak_err_hz"] is None else f"{a['mean_abs_peak_err_hz']:.3f}"
             snr = "-" if a["snr_db"] is None else f"{a['snr_db']:g}"
-            print(f"{snr:>6}  {a['alpha']:>5g}  {a['diff_order']:>5}  "
+            print(f"{snr:>6}  {a['alpha']:>5g}  {a['diff_order']:>5}  {a['n_modes']:>5}  "
+                  f"{'yes' if a['shrinkage'] else 'no':>6}  "
                   f"{a['true_freq_hz']:>7g}  {a['n_matched']:>3}/{a['n_cells']:<3}  "
                   f"{corr:>9}  {dpk:>11}")
     return EXIT_OK
@@ -278,7 +279,7 @@ def _cmd_spectrum(args) -> int:
     x = _load_series(args.input, args.sample_rate)
     spec = periodogram(x)
     peak = dominant_frequency(spec)
-    if len(x) < 12:
+    if len(x) < MIN_SAMPLES:
         raise _CliError(
             EXIT_NUMERIC,
             f"signal too short for an embedding-dimension suggestion ({len(x)} samples)",

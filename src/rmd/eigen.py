@@ -49,18 +49,6 @@ class EigenBasis:
     mu: np.ndarray
     negligible: np.ndarray
 
-    def __post_init__(self):
-        for name in ("gammas", "vectors", "mu", "negligible"):
-            dtype = bool if name == "negligible" else np.float64
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        m = self.gammas.size
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != m or not (
-            self.mu.shape == self.negligible.shape == (m,)
-        ):
-            raise ValueError("eigenbasis arrays must hold m values and K x m vectors")
-
     def __len__(self) -> int:
         return self.gammas.size
 
@@ -72,23 +60,20 @@ def gram(X: np.ndarray) -> np.ndarray:
     Row i of X is x[i : i + K], so G[i+1, j+1] = G[i, j] + x[L+i] x[L+j] - x[i] x[j]
     (Korobeynikov, arXiv:0911.4498).  Row 0 is the correlation of x with x[:L];
     each later row is written whole from the one above, its first entry taken
-    from row 0, so G is exactly symmetric.  The result is read-only.  Overflow
-    raises NumericalError.
+    from row 0, so G is exactly symmetric.  The result is read-only.
+    ``rmd_decompose`` passes unit-scaled samples (max|x| < 1): no entry exceeds L.
     """
     L, K = X.shape
     x = hankel_series(X)
     g = np.empty((K, K))
-    with np.errstate(over="ignore", invalid="ignore"):
-        g[0] = np.correlate(x, x[:L], "valid")
-        g[1:, 0] = g[0, 1:]
-        for s in range(1, K, 64):  # the updates of 64 rows at a time, then one add per row
-            e = min(K, s + 64)
-            delta = np.multiply.outer(x[L + s - 1:L + e - 1], x[L:L + K - 1])
-            delta -= np.multiply.outer(x[s - 1:e - 1], x[:K - 1])
-            for i in range(s, e):
-                np.add(g[i - 1, :-1], delta[i - s], out=g[i, 1:])
-    if not np.isfinite([g.min(), g.max()]).all():  # inf or nan shows in the extremes
-        raise NumericalError(f"Gram matrix overflows for signal magnitude {np.abs(x).max():.3g}")
+    g[0] = np.correlate(x, x[:L], "valid")
+    g[1:, 0] = g[0, 1:]
+    for s in range(1, K, 64):  # the updates of 64 rows at a time, then one add per row
+        e = min(K, s + 64)
+        delta = np.multiply.outer(x[L + s - 1:L + e - 1], x[L:L + K - 1])
+        delta -= np.multiply.outer(x[s - 1:e - 1], x[:K - 1])
+        for i in range(s, e):
+            np.add(g[i - 1, :-1], delta[i - s], out=g[i, 1:])
     g.setflags(write=False)
     return g
 
@@ -96,11 +81,8 @@ def gram(X: np.ndarray) -> np.ndarray:
 def diff_operator(order: int, K: int) -> np.ndarray:
     """The (K - order) x K stencil D in diagonal storage: row p of the read-only
     (order + 1) x (K - order) result holds D[i, i + p].  D's rows are [-1, 1]
-    (order 1) or [1, -2, 1] (order 2) shifts, so they annihilate constants."""
-    if order not in (1, 2):
-        raise ValueError("difference order must be 1 or 2")
-    if K < order + 1:
-        raise ValueError(f"need K >= {order + 1} for order {order}, got K={K}")
+    (order 1) or [1, -2, 1] (order 2) shifts, so they annihilate constants.
+    K >= order + 1, as ``DecompositionConfig`` and the K heuristic ensure."""
     D = np.repeat(np.diff(np.eye(order + 1), n=order, axis=0).T, K - order, axis=1)
     D.setflags(write=False)
     return D
@@ -123,11 +105,9 @@ def smoothing_matrix(D: np.ndarray) -> np.ndarray:
 
 def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
     """The read-only M = I + alpha * R in upper band storage, from R's band;
-    alpha = 0 yields the identity exactly, and M's eigenvalues are >= 1.  No
+    alpha >= 0, so alpha = 0 yields the identity exactly and M's eigenvalues are >= 1.  No
     entry of R exceeds 4**order, so alpha * 4**order overflowing raises
     NumericalError."""
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ValueError("alpha must be finite and >= 0")
     if not math.isfinite(alpha * 4.0 ** (R.shape[0] - 1)):
         raise NumericalError(f"M = I + alpha R overflows for alpha={alpha:.3g}")
     M = alpha * R
@@ -175,8 +155,6 @@ def solve_generalized(
     downstream they route to the residual instead of seeding modes.
     """
     K = G.shape[0]
-    if n_pairs is not None and n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     top = K if n_pairs is None else min(K, n_pairs)
     band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
     try:

@@ -16,6 +16,8 @@ class SignalTooShortError(ValueError):
 
 
 MIN_EMBEDDING_DIM = 4
+# the fewest samples with room for K >= MIN_EMBEDDING_DIM at K <= N/3
+MIN_SAMPLES = 3 * MIN_EMBEDDING_DIM
 
 
 def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> int:
@@ -35,14 +37,10 @@ def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> 
 
 
 def select_embedding_dimension(x: TimeSeries) -> int:
-    """Pick the embedding dimension for a series from its spectral peak."""
-    n = len(x)
-    if n < 12:
-        raise SignalTooShortError(
-            f"need at least 12 samples to choose an embedding dimension, got {n}"
-        )
+    """Pick the embedding dimension for a series of at least ``MIN_SAMPLES``
+    samples from its spectral peak."""
     f_max = dominant_frequency(periodogram(x))
-    return embedding_dim_from_peak(f_max, x.sample_rate, n)
+    return embedding_dim_from_peak(f_max, x.sample_rate, len(x))
 
 
 def build_trajectory_matrix(x: TimeSeries, K: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import (
+    MIN_SAMPLES,
     SignalTooShortError,
     build_trajectory_matrix,
     diagonal_average,  # noqa: F401  re-exported as rmd.modes.diagonal_average
@@ -185,8 +186,6 @@ def cluster_and_merge(
     are returned as the residual set.
     """
     m = len(basis)
-    if m == 0:
-        raise ValueError("empty eigenbasis")
     V = basis.vectors
     measure, P, coord_scale = "cosine", V, None
     if config.similarity == "normalized-euclidean":
@@ -249,12 +248,6 @@ def _anti_diagonal_average(X: np.ndarray, V: np.ndarray, gains, groups) -> np.nd
     return sums.T / counts
 
 
-def _unit_scale(x: TimeSeries) -> tuple[TimeSeries, int]:
-    """x / 2**s with max|x| / 2**s in [0.5, 1), and s."""
-    xs, shift = unit_scaled(x.samples)
-    return x.with_samples(xs), shift
-
-
 def _scale_back(
     x: TimeSeries, xs: TimeSeries, shift: int, parts, stats,
 ) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
@@ -264,8 +257,10 @@ def _scale_back(
     xs - sum(parts) is taken and checked on xs, where nothing overflows, and
     each peak is read there.  Samples then scale back by 2**shift, gamma and
     energy by 4**shift; power-of-two scaling is exact, so the decomposition is
-    scale-equivariant.  A gamma or energy past the float64 range reads inf; a
-    sample past it raises NumericalError.
+    scale-equivariant, except that scaling down (shift <= 0) rounds samples
+    below 2**-1022: there the residual is taken as x minus the scaled-back
+    modes, so that they still sum back to x.  A gamma or energy past the
+    float64 range reads inf; a sample past it raises NumericalError.
     """
     residual = xs.samples - sum(parts)
     _verify_completeness(xs.samples, parts, residual)
@@ -280,6 +275,8 @@ def _scale_back(
                                  members=members, peak_frequency_hz=peak))
     with np.errstate(over="ignore"):
         out = np.ldexp(np.vstack([*parts, residual]), shift)
+    if shift <= 0:
+        out[-1] = x.samples - sum(out[:-1])
     if not np.isfinite(out).all():
         raise NumericalError("a mode or the residual exceeds the float64 range")
     return tuple(x.with_samples(m) for m in out[:-1]), x.with_samples(out[-1]), tuple(report)
@@ -300,13 +297,14 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1), and
     ``_scale_back`` returns its results to the scale of x exactly.  Before any
-    work, N < 12 raises SignalTooShortError and a ``K_override`` above N - 1
+    work, N < ``MIN_SAMPLES`` (12) raises SignalTooShortError and a ``K_override`` above N - 1
     ValueError; any later failure is a NumericalError.
     """
     n = len(x)
-    if n < 12:
-        raise SignalTooShortError(f"need at least 12 samples to decompose, got {n}")
-    xs, shift = _unit_scale(x)
+    if n < MIN_SAMPLES:
+        raise SignalTooShortError(f"need at least {MIN_SAMPLES} samples to decompose, got {n}")
+    samples, shift = unit_scaled(x.samples)
+    xs = x.with_samples(samples)
     K = config.K_override if config.K_override is not None else select_embedding_dimension(xs)
     X = build_trajectory_matrix(xs, K)  # the one check on the caller's K: K <= N - 1
     G = gram(X)
@@ -332,7 +330,6 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
 
     warnings = () if len(modes) >= config.n_modes else (
         f"requested {config.n_modes} modes but only {len(modes)} cluster(s) were available",)
-    _verify_variance_ratio(report, config.alpha)
     return ModeSet(modes=modes, residual=residual, report=report, config=config,
                    embedding_dim=K, method="rmd", warnings=warnings)
 
@@ -351,16 +348,6 @@ def _verify_completeness(x: np.ndarray, modes, residual: np.ndarray,
         )
 
 
-def _verify_variance_ratio(report, alpha: float) -> None:
-    # mean of 1/(1+alpha*mu)^2 over modes can never exceed 1 for mu >= 0
-    if not report:
-        return
-    # square the gain, not the denominator: 1 + alpha*mu may be near overflow
-    ratio = float(np.mean([(1.0 / (1.0 + alpha * e.mu)) ** 2 for e in report]))
-    if ratio > 1.0 + 1e-12:
-        raise NumericalError(f"variance-ratio bound violated: {ratio}")
-
-
 def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
     """Plain SVD trajectory-matrix baseline (the alpha = 0 special case).
 
@@ -371,7 +358,8 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    xs, shift = _unit_scale(x)
+    samples, shift = unit_scaled(x.samples)
+    xs = x.with_samples(samples)
     X = build_trajectory_matrix(xs, K)
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
     warnings = ()

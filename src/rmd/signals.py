@@ -112,12 +112,6 @@ class ModeMetrics:
     correlation: float
     rmse: float
 
-    def __post_init__(self):
-        if not -1.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-        if self.rmse < 0:
-            raise ValueError("rmse must be >= 0")
-
 
 # the most samples a generator makes: 500 times the paper's N=2000, at 8 MB a
 # series, where rate x duration can otherwise ask for any amount of memory

@@ -19,13 +19,14 @@ from rmd.bench import (
 )
 from rmd.eigen import gram, solve_generalized
 from rmd.embedding import build_trajectory_matrix
-from rmd.modes import DecompositionConfig, _unit_scale, cluster_and_merge
+from rmd.modes import DecompositionConfig, cluster_and_merge
 from rmd.signals import (
     CsvFormatError,
     SineComponent,
     add_noise_at_snr,
     gen_sinusoid_mixture,
     read_timeseries_csv,
+    unit_scaled,
     write_timeseries_csv,
 )
 
@@ -348,6 +349,24 @@ class TestReportArtifacts:
         again = ExperimentReport.from_json(report.to_json())
         assert again.aggregates() == report.aggregates()
 
+    def test_aggregates_keep_configs_apart(self):
+        # three configs that differ only in n_modes or shrinkage: 3 x 3 rows of 2 cells
+        configs = (DecompositionConfig(alpha=8.0, n_modes=4),
+                   DecompositionConfig(alpha=8.0, n_modes=8),
+                   DecompositionConfig(alpha=8.0, n_modes=4, shrinkage=True))
+        rows = run_experiment(sine_spec(snr_db=(-5.0,), configs=configs)).aggregates()
+        assert len(rows) == 9 and all(r["n_cells"] == 2 for r in rows)
+        assert {(r["n_modes"], r["shrinkage"]) for r in rows} == {
+            (4, False), (8, False), (4, True)}
+
+    def test_v1_cells_read_back(self):
+        # a v1 report.json has no shrinkage in its cells
+        doc = json.loads(run_experiment(sine_spec()).to_json())
+        for cell in doc["cells"]:
+            del cell["shrinkage"]
+        again = ExperimentReport.from_json(json.dumps(doc))
+        assert [c.shrinkage for c in again.cells] == [False, False]
+
     def test_write_report_artifacts(self, tmp_path):
         spec = sine_spec(snr_db=(60.0, 40.0), seeds=(0, 1, 2))
         report = run_experiment(spec)
@@ -404,7 +423,8 @@ class TestTruncatedBasisOnBundledSpecs:
         cells = 0
         for snr in spec.snr_db:
             for seed in spec.seeds:
-                xs, _ = _unit_scale(add_noise_at_snr(clean, snr, seed)[0])
+                noisy, _ = add_noise_at_snr(clean, snr, seed)
+                xs = noisy.with_samples(unit_scaled(noisy.samples)[0])
                 for config in spec.configs:
                     full = self.members(xs, config, spec.embedding_dim, None)
                     top = self.members(xs, config, spec.embedding_dim, 8 * config.n_modes)

@@ -239,18 +239,14 @@ class TestDecompose:
         assert code in (0, 4)
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("check", ["_verify_completeness", "_verify_variance_ratio"])
+    @pytest.mark.parametrize("check", ["_verify_completeness"])
     def test_failed_internal_check_exits_4(self, tone_file, tmp_path, capsys, monkeypatch,
                                            check):
         import rmd.modes as modes
 
         real = getattr(modes, check)
         # the real check, handed a bound that no decomposition meets
-        forced = {
-            "_verify_completeness": lambda x, ms, res: real(x, ms, res, rel_tol=-1.0),
-            "_verify_variance_ratio": lambda report, alpha: real(report, -0.5),
-        }[check]
-        monkeypatch.setattr(modes, check, forced)
+        monkeypatch.setattr(modes, check, lambda x, ms, res: real(x, ms, res, rel_tol=-1.0))
         code = run_cli("decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o"))
         assert code == 4
         err = capsys.readouterr().err
@@ -395,6 +391,7 @@ class TestBench:
         assert (out / "summary.csv").is_file()
         stdout = capsys.readouterr().out
         assert "2 cell(s), 0 failed" in stdout
+        assert "order  modes  shrink  true_hz" in stdout  # the aggregate key's config columns
 
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         doc = {
@@ -483,6 +480,20 @@ class TestBench:
     def test_grid_spec_exits_2(self, tmp_path, capsys, grid):
         doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0], **grid}
         path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"embedding_dim": 1},
+        {"embedding_dim": 2, "configs": [{"alpha": 1.0, "diff_order": 2}]},
+        {"phases": [0.1]},  # three frequencies, one phase
+    ])
+    def test_spec_rejected_before_any_cell_exits_2(self, tmp_path, capsys, fields):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "configs": [{"alpha": 1.0}], **fields}
+        path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "bad experiment spec" in capsys.readouterr().err

@@ -104,11 +104,6 @@ class TestGram:
         tm = build_trajectory_matrix(TimeSeries(rng.standard_normal(40), 1.0), 9)
         assert not gram(tm).flags.writeable
 
-    def test_overflow_raises_numerical_error(self):
-        tm = build_trajectory_matrix(TimeSeries(1e200 * np.sin(np.arange(50.0)), 1.0), 10)
-        with pytest.raises(NumericalError, match="1e\\+200"):
-            gram(tm)
-
 
 class TestDiffOperator:
     def test_order1_k3(self):
@@ -132,12 +127,6 @@ class TestDiffOperator:
         for order in (1, 2):
             D = from_diagonals(diff_operator(order, 9))
             np.testing.assert_allclose(D.sum(axis=1), 0.0, atol=1e-15)
-
-    def test_k_too_small(self):
-        with pytest.raises(ValueError):
-            diff_operator(2, 2)
-        with pytest.raises(ValueError):
-            diff_operator(3, 5)
 
 
 def dense_R(order, K):
@@ -191,13 +180,6 @@ class TestAugmented:
         for alpha in (0.0, 0.3, 2.0, 50.0):
             M = from_band(augmented(R, alpha))
             assert np.min(np.linalg.eigvalsh(M)) >= 1.0 - 1e-10
-
-    def test_bad_alpha(self):
-        R = smoothing_matrix(diff_operator(1, 3))
-        with pytest.raises(ValueError):
-            augmented(R, -0.1)
-        with pytest.raises(ValueError):
-            augmented(R, math.nan)
 
 
 class TestClosedFormBand:
@@ -376,20 +358,6 @@ class TestSolveGeneralized:
         with pytest.raises(NumericalError, match="eigensolver failed"):
             solve_generalized(G, 2.0**1000, 1)
 
-    def test_basis_copies_its_arrays(self, rng):
-        basis = solve_for(random_psd(rng, 6), alpha=0.5)
-        V = np.array(basis.vectors)
-        copy = EigenBasis(basis.gammas, V, basis.mu, basis.negligible)
-        V[0, 0] += 1.0
-        assert copy.vectors[0, 0] == basis.vectors[0, 0]
-        assert not copy.vectors.flags.writeable
-
-    def test_dimension_mismatch(self):
-        # a 2 x 2 Gram matrix has no room for the order-2 stencil
-        G = np.eye(2)
-        with pytest.raises(ValueError):
-            solve_generalized(G, 1.0, 2)
-
 
 class TestTruncatedSolve:
     """``n_pairs=m`` returns the top m pairs of the full solve, by either driver."""
@@ -475,15 +443,8 @@ class TestTruncatedSolve:
             for name in ("gammas", "vectors", "mu", "negligible"):
                 assert np.array_equal(getattr(basis, name), getattr(full, name))
 
-    def test_n_pairs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="n_pairs"):
-            solve_generalized(np.eye(4), 1.0, 1, n_pairs=0)
-
     def test_basis_of_m_columns(self, rng):
         basis = solve_for(random_psd(rng, 6), alpha=0.5)
         sub = EigenBasis(basis.gammas[:2], basis.vectors[:, :2], basis.mu[:2],
                          basis.negligible[:2])
         assert len(sub) == 2 and sub.vectors.shape == (6, 2)
-        with pytest.raises(ValueError):
-            EigenBasis(basis.gammas[:2], basis.vectors[:, :3], basis.mu[:2],
-                       basis.negligible[:2])

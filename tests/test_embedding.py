@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmd.embedding import (
-    SignalTooShortError,
     build_trajectory_matrix,
     diagonal_average,
     embedding_dim_from_peak,
@@ -34,10 +33,6 @@ class TestEmbeddingDimension:
     def test_dc_only_signal_uses_fallback(self):
         x = TimeSeries(np.ones(300), 100.0)
         assert select_embedding_dimension(x) == 100
-
-    def test_too_short_rejected(self):
-        with pytest.raises(SignalTooShortError):
-            select_embedding_dimension(TimeSeries(np.arange(11, dtype=float), 10.0))
 
     def test_heuristic_on_mid_tone(self):
         mixture, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)

@@ -195,12 +195,6 @@ class TestClusterAndMerge:
         assert len(clusters) == 2
         assert len(leftovers) == 3
 
-    def test_empty_basis_rejected(self):
-        empty = EigenBasis(gammas=np.empty(0), vectors=np.empty((0, 0)), mu=np.empty(0),
-                           negligible=np.empty(0, dtype=bool))
-        with pytest.raises(ValueError):
-            cluster_and_merge(empty, DecompositionConfig(n_modes=1))
-
     def test_zero_eigenvalue_cluster_with_no_floor(self):
         # the negligible floor underflows to 0 when the top gamma is below about
         # 5e-312, so zero-gamma pairs can reach a cluster; merging must not divide by 0
@@ -239,6 +233,13 @@ class TestReconstructMode:
 
 
 class TestRmdDecompose:
+    @pytest.mark.parametrize("height", [5e-324, 1e-320])
+    def test_subnormal_impulse_sums_back(self, height):
+        # the modes, scaled back below 2**-1022, round; the residual takes up the rounding
+        x = TimeSeries(np.where(np.arange(64) == 20, height, 0.0), 1.0)
+        ms = rmd_decompose(x, DecompositionConfig(n_modes=3, K_override=8))
+        assert np.array_equal(total(ms), x.samples)
+
     def test_zero_signal(self):
         x = TimeSeries(np.zeros(64), 10.0)
         ms = rmd_decompose(x, DecompositionConfig(n_modes=3, K_override=16))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rmd.signals import (
     MAX_GENERATED_SAMPLES,
     CsvFormatError,
-    ModeMetrics,
     SineComponent,
     Spectrum,
     TimeSeries,
@@ -285,12 +284,6 @@ class TestScoreMode:
         const = truths[0].with_samples(np.ones(len(truths[0])))
         with pytest.raises(ValueError):
             score_mode(const, truths[0])
-
-    def test_metrics_validation(self):
-        with pytest.raises(ValueError):
-            ModeMetrics(peak_frequency=1.0, correlation=1.5, rmse=0.0)
-        with pytest.raises(ValueError):
-            ModeMetrics(peak_frequency=1.0, correlation=0.5, rmse=-1.0)
 
 
 class TestCsvRoundTrip:
