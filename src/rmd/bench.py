@@ -114,8 +114,11 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(_snr(s) for s in self.snr_db))
         object.__setattr__(self, "seeds", tuple(_seed(s) for s in self.seeds))
-        object.__setattr__(self, "configs", tuple(
-            replace(c, K_override=self.embedding_dim) for c in self.configs))
+        try:
+            object.__setattr__(self, "configs", tuple(
+                replace(c, K_override=self.embedding_dim) for c in self.configs))
+        except ValueError as exc:  # name the spec's key, not the config field it sets
+            raise ValueError(str(exc).replace("K_override", "embedding_dim")) from None
         object.__setattr__(self, "frequencies_hz", tuple(self.frequencies_hz))
         object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
         if self.phases is not None:

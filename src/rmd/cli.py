@@ -8,6 +8,7 @@ flags or parameters, 3 I/O or file-format trouble, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -77,11 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=float, default=None,
                    help="sample rate in Hz (falls back to the <input>.json sidecar)")
     p.add_argument("-r", "--modes", type=int, required=True, help="number of modes")
-    p.add_argument("--alpha", type=float, default=0.3, help="regularization factor")
-    p.add_argument("--order", type=int, choices=(1, 2), default=1,
+    default = {f.name: f.default for f in dataclasses.fields(DecompositionConfig)}
+    p.add_argument("--alpha", type=float, default=default["alpha"],
+                   help="regularization factor")
+    p.add_argument("--order", type=int, choices=(1, 2), default=default["diff_order"],
                    help="difference operator order")
-    p.add_argument("--theta", type=float, default=0.85, help="similarity merge threshold")
-    p.add_argument("--measure", choices=SIMILARITY_MEASURES, default="spectral",
+    p.add_argument("--theta", type=float, default=default["merge_threshold"],
+                   help="similarity merge threshold")
+    p.add_argument("--measure", choices=SIMILARITY_MEASURES, default=default["similarity"],
                    help="eigenvector similarity measure")
     p.add_argument("-K", "--embedding-dim", type=int, default=None,
                    help="embedding dimension (default: spectral-peak heuristic)")

@@ -110,53 +110,38 @@ class ModeSet:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _profile(V: np.ndarray, measure: str) -> np.ndarray:
-    """What a product measure compares: the raw, centred or |rfft| columns."""
-    if measure == "cosine":
-        return V
-    if measure == "pearson":
-        return V - V.mean(axis=0)
-    if measure == "spectral":
-        return np.abs(np.fft.rfft(V, axis=0))
-    raise ValueError(f"unknown similarity measure {measure!r}")
+def similarity(V: np.ndarray, measure: str) -> np.ndarray:
+    """Similarities in [0, 1] of every pair of V's columns, as an (m, m) matrix.
 
-
-def similarity(
-    a: np.ndarray,
-    b: np.ndarray,
-    measure: str,
-    coord_scale: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Similarity of vector ``a`` to ``b`` in [0, 1] under the chosen measure.
-
-    ``b`` is one vector of a's length, giving a float, or a matrix whose
-    columns are each compared with ``a``, giving one value per column.
-    cosine and pearson are reported as absolute values (eigenvector sign is
-    meaningless), and a zero-norm profile, such as a constant vector's pearson
-    one, is similar to nothing (0).  normalized-euclidean is the per-coordinate
-    sigma-scaled distance mapped through 1/(1+d); ``coord_scale`` supplies the
-    sigmas and defaults to the per-coordinate standard deviation of ``a`` and
-    ``b`` together.  spectral compares DFT magnitude profiles, which makes
-    quadrature pairs of the same frequency nearly identical.
+    cosine, pearson and spectral are the absolute cosine (eigenvector sign is
+    meaningless) of the raw, centred or DFT-magnitude columns; spectral makes
+    quadrature pairs of the same frequency nearly identical.  A zero-norm
+    profile, such as a constant vector's pearson one, is similar to nothing
+    (0).  normalized-euclidean maps the distance d between columns through
+    1/(1+d), each coordinate scaled by its standard deviation over the columns
+    (zero-variance coordinates are skipped; none left means identical).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim not in (1, 2) or b.shape[0] != a.size:
-        raise ValueError("a must be 1-D and b a vector or columns of a's length")
-    B = b if b.ndim == 2 else b[:, None]
     if measure == "normalized-euclidean":
-        if coord_scale is None:
-            coord_scale = np.std(np.column_stack([a, B]), axis=1)
-        keep = coord_scale > 0
-        # zero-variance coordinates are skipped; none left means identical
-        scaled = (B[keep] - a[keep, None]) / coord_scale[keep, None]
-        sims = 1.0 / (1.0 + np.sqrt(np.sum(scaled**2, axis=0)))
+        scale = np.std(V, axis=1)
+        keep = scale > 0
+        W = V[keep] / scale[keep, None]
+        sq = np.einsum("ij,ij->j", W, W)
+        # |w_i - w_j|^2 by the Gram identity, clipped at the rounding below 0
+        d2 = np.maximum(sq[:, None] + sq - 2.0 * (W.T @ W), 0.0)
+        return 1.0 / (1.0 + np.sqrt(d2))
+    if measure == "cosine":
+        P = V
+    elif measure == "pearson":
+        P = V - V.mean(axis=0)
+    elif measure == "spectral":
+        P = np.abs(np.fft.rfft(V, axis=0))
     else:
-        fa, FB = _profile(a, measure), _profile(B, measure)
-        with np.errstate(invalid="ignore"):
-            sims = np.abs(FB.T @ fa) / (np.linalg.norm(FB, axis=0) * np.linalg.norm(fa))
-        sims[np.isnan(sims)] = 0.0  # 0 / 0: a zero-norm profile
-    return float(sims[0]) if b.ndim == 1 else sims
+        raise ValueError(f"unknown similarity measure {measure!r}")
+    norms = np.linalg.norm(P, axis=0)
+    with np.errstate(invalid="ignore"):
+        S = np.abs(P.T @ P) / np.outer(norms, norms)
+    S[np.isnan(S)] = 0.0  # 0 / 0: a zero-norm profile
+    return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +160,7 @@ def cluster_and_merge(
 
     Each still-unconsumed eigenvector seeds a cluster and absorbs every
     later unconsumed vector whose similarity to the seed exceeds the merge
-    threshold; one ``similarity`` call compares the seed with all of them.
-    The product measures are the cosine of profiles built once per basis
+    threshold; one ``similarity`` call per basis gives every pair's value
     (normalized-euclidean scales coordinates by their spread over the basis's
     columns, only the top m pairs when the solve was truncated).  Members
     are sign-aligned to the seed and combined by an eigenvalue-weighted
@@ -187,11 +171,7 @@ def cluster_and_merge(
     """
     m = len(basis)
     V = basis.vectors
-    measure, P, coord_scale = "cosine", V, None
-    if config.similarity == "normalized-euclidean":
-        measure, coord_scale = config.similarity, np.std(V, axis=1)
-    else:
-        P = _profile(V, config.similarity)
+    S = similarity(V, config.similarity)
 
     consumed = basis.negligible.copy()
     merged: list[MergedMode] = []
@@ -202,8 +182,7 @@ def cluster_and_merge(
             continue
         consumed[i] = True
         others = i + 1 + np.flatnonzero(~consumed[i + 1:])
-        sims = similarity(P[:, i], P[:, others], measure, coord_scale)
-        joined = others[sims > config.merge_threshold]
+        joined = others[S[i, others] > config.merge_threshold]
         consumed[joined] = True
         members = [i, *joined.tolist()]
 

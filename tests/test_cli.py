@@ -496,7 +496,10 @@ class TestBench:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
-        assert "bad experiment spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message names the spec key at fault, not the config field it sets
+        assert "bad experiment spec" in err
+        assert ("phases" if "phases" in fields else "embedding_dim must be >=") in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("snr", [-4000.0, 4000.0, -1e4, 1e4, float("-inf")])
@@ -584,19 +587,20 @@ _fault = st.one_of(
     st.tuples(st.just("body"), _hostile_body),
     st.tuples(st.just("sidecar"), _hostile_sidecar),
 )
+# one spec config, tagged True when drawn from the valid strategy
 _config = st.one_of(
-    st.fixed_dictionaries({"alpha": st.floats(0, 20)}, optional={
+    st.tuples(st.just(True), st.fixed_dictionaries({"alpha": st.floats(0, 20)}, optional={
         "diff_order": st.integers(1, 2), "theta": st.floats(0.05, 1.01),
         "n_modes": st.integers(1, 5), "measure": st.sampled_from(SIMILARITY_MEASURES),
         "shrinkage": st.booleans(),
-    }),
-    st.dictionaries(
+    })),
+    st.tuples(st.just(False), st.dictionaries(
         st.sampled_from(["alpha", "diff_order", "theta", "n_modes", "measure", "shrinkage",
                          "merge_threshold", "eigen_floor", "K_override"]),
         st.one_of(_numbers, st.integers(0, 4), st.booleans(), st.none(), _garbage,
                   st.sampled_from(SIMILARITY_MEASURES)),
         max_size=6,
-    ),
+    )),
 )
 # the spec's other fields, hostile or not; a rate of at most 200 Hz over at most
 # 1 s keeps every signal at 200 samples or fewer
@@ -657,16 +661,24 @@ class TestExitCodeContract:
 
     @settings(_contract, max_examples=200)
     @given(configs=st.lists(_config, max_size=3),
-           embedding_dim=st.one_of(st.none(), st.integers(-2, 60)), fields=_spec_fields)
+           embedding_dim=st.one_of(st.none(), st.integers(-2, 60)),
+           fields=st.one_of(st.just({}), _spec_fields))
     def test_bench(self, configs, embedding_dim, fields):
+        # with no hostile field or config, exit 2 if and only if there is no config
+        # or embedding_dim is below a config's stencil, and otherwise 0: at N = 50
+        # an embedding_dim above 49 fails each cell, which the report records
+        expected = (0, 2, 3, 4)
+        if not fields and all(valid for valid, _ in configs):
+            stencil = max((c.get("diff_order", 1) + 1 for _, c in configs), default=0)
+            too_small = embedding_dim is not None and embedding_dim < stencil
+            expected = (2,) if not configs or too_small else (0,)
         doc = {
             "generator": "sine-mixture", "snr_db": [20.0], "seeds": [0],
             "sample_rate_hz": 100.0, "duration_s": 0.5, "embedding_dim": embedding_dim,
-            "frequencies_hz": [5.0, 20.0], "amplitudes": [1.0, 0.5], "configs": configs,
-            **fields,
+            "frequencies_hz": [5.0, 20.0], "amplitudes": [1.0, 0.5],
+            "configs": [c for _, c in configs], **fields,
         }
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            assert _exit_code(["bench", str(path), "--out", str(Path(tmp) / "out")]) in (
-                0, 2, 3, 4)
+            assert _exit_code(["bench", str(path), "--out", str(Path(tmp) / "out")]) in expected

@@ -90,65 +90,73 @@ class TestConfig:
             DecompositionConfig(**{"n_modes": 3, field: value})
 
 
+def pair_similarity(a, b, measure, scale):
+    """One pair's similarity from the definitions, the reference for the matrix;
+    ``scale`` holds normalized-euclidean's per-coordinate sigmas.
+    """
+    if measure == "normalized-euclidean":
+        keep = scale > 0
+        return 1.0 / (1.0 + np.linalg.norm((a[keep] - b[keep]) / scale[keep]))
+    profile = {"cosine": lambda v: v, "pearson": lambda v: v - v.mean(),
+               "spectral": lambda v: np.abs(np.fft.rfft(v))}[measure]
+    pa, pb = profile(a), profile(b)
+    norms = np.linalg.norm(pa) * np.linalg.norm(pb)
+    return 0.0 if norms == 0 else abs(pa @ pb) / norms
+
+
+def pair(a, b, measure):
+    return similarity(np.column_stack([a, b]), measure)[0, 1]
+
+
 class TestSimilarity:
     def test_identity(self, rng):
         v = rng.standard_normal(16)
-        assert similarity(v, v, "cosine") == pytest.approx(1.0)
-        assert similarity(v, v, "pearson") == pytest.approx(1.0)
-        assert similarity(v, v, "normalized-euclidean") == pytest.approx(1.0)
-        assert similarity(v, v, "spectral") == pytest.approx(1.0)
+        for measure in SIMILARITY_MEASURES:
+            assert pair(v, v, measure) == pytest.approx(1.0)
 
     def test_sign_invariance_of_cosine(self, rng):
         v = rng.standard_normal(16)
-        assert similarity(v, -v, "cosine") == pytest.approx(1.0)
-        assert similarity(v, -v, "pearson") == pytest.approx(1.0)
+        assert pair(v, -v, "cosine") == pytest.approx(1.0)
+        assert pair(v, -v, "pearson") == pytest.approx(1.0)
 
     def test_quadrature_pair_spectral_vs_cosine(self):
         n = np.arange(32)
         a = np.sin(2 * np.pi * 4 * n / 32)
         b = np.cos(2 * np.pi * 4 * n / 32)
-        assert similarity(a, b, "cosine") < 0.05
-        assert similarity(a, b, "spectral") > 0.999
+        assert pair(a, b, "cosine") < 0.05
+        assert pair(a, b, "spectral") > 0.999
 
     def test_zero_norm_is_similar_to_nothing(self):
         # a constant eigenvector's pearson profile is zero: it must join no cluster
         z = np.zeros(8)
         v = np.arange(8.0)
         for measure in ("cosine", "pearson", "spectral"):
-            assert similarity(z, v, measure) == 0.0
-            assert similarity(v, z, measure) == 0.0
-        assert similarity(np.full(8, 2.0), v, "pearson") == 0.0
-        assert similarity(v, np.column_stack([np.ones(8), v]), "pearson").tolist() == [0.0, 1.0]
+            S = similarity(np.column_stack([z, v]), measure)
+            assert S[0, 1] == S[1, 0] == S[0, 0] == 0.0
+        S = similarity(np.column_stack([np.full(8, 2.0), v, np.ones(8)]), "pearson")
+        assert S[1].tolist() == [0.0, 1.0, 0.0]
 
     def test_normalized_euclidean_in_unit_interval(self, rng):
-        a = rng.standard_normal(12)
-        b = rng.standard_normal(12)
-        s = similarity(a, b, "normalized-euclidean")
-        assert 0.0 < s <= 1.0
+        S = similarity(rng.standard_normal((12, 5)), "normalized-euclidean")
+        assert S.shape == (5, 5)
+        assert np.all((0.0 < S) & (S <= 1.0))
 
     @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_columns_match_one_call_per_vector(self, rng, measure):
-        a = rng.standard_normal(12)
-        B = rng.standard_normal((12, 5))
-        scale = np.std(np.column_stack([a, B]), axis=1)
-        sims = similarity(a, B, measure, scale)
-        assert sims.shape == (5,)
-        for j in range(5):
-            assert sims[j] == pytest.approx(similarity(a, B[:, j], measure, scale), rel=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            similarity(np.ones(8), np.ones(7), "cosine")
-        with pytest.raises(ValueError):
-            similarity(np.ones((8, 2)), np.ones(8), "cosine")
+    def test_entries_match_pair_reference(self, rng, measure):
+        V = rng.standard_normal((12, 6))
+        S = similarity(V, measure)
+        scale = np.std(V, axis=1)  # the sigmas span every column, not one pair
+        for i in range(6):
+            for j in range(i + 1, 6):  # the diagonal is never a merge test
+                ref = pair_similarity(V[:, i], V[:, j], measure, scale)
+                assert S[i, j] == pytest.approx(ref, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31))
-    def test_symmetric(self, seed):
+    @given(seed=st.integers(0, 2**31), measure=st.sampled_from(SIMILARITY_MEASURES))
+    def test_symmetric(self, seed, measure):
         rng = np.random.default_rng(seed)
-        a, b = rng.standard_normal((2, 10))
-        for m in ("cosine", "pearson", "spectral"):
-            assert similarity(a, b, m) == pytest.approx(similarity(b, a, m), rel=1e-12)
+        S = similarity(rng.standard_normal((10, int(rng.integers(1, 12)))), measure)
+        assert np.array_equal(S, S.T)
 
 
 class TestClusterAndMerge:
@@ -488,6 +496,33 @@ class TestRmdDecompose:
                     assert np.array_equal(mb.samples, -ma.samples)
                 assert b.report == a.report and b.warnings == a.warnings
 
+    @pytest.mark.parametrize("cfg", [
+        DecompositionConfig(n_modes=4, alpha=8.0),
+        DecompositionConfig(n_modes=8, alpha=10.0, merge_threshold=0.6, diff_order=2,
+                            similarity="pearson", K_override=60),
+        DecompositionConfig(n_modes=3, alpha=2.0, merge_threshold=0.3, shrinkage=True,
+                            similarity="normalized-euclidean", K_override=120),
+        DecompositionConfig(n_modes=4, alpha=0.5, merge_threshold=0.5, diff_order=2,
+                            similarity="cosine", K_override=40),
+    ])
+    def test_reversed_input_reverses_modes(self, cfg):
+        # reversing x flips the Hankel matrix's rows and columns, J X J; the
+        # penalty D^T D commutes with the flip J, so each eigenvector v becomes
+        # J v, and every measure is invariant under J: the same clusters form
+        mixture, _ = gen_sinusoid_mixture(
+            [SineComponent(2.0, 3.0), SineComponent(5.0, 0.5), SineComponent(19.0, 4.0)],
+            200.0, 2.0)
+        for snr in (-5.0, 10.0):
+            for seed in range(10):
+                x, _ = add_noise_at_snr(mixture, snr, seed)
+                a = rmd_decompose(x, cfg)
+                b = rmd_decompose(x.with_samples(x.samples[::-1]), cfg)
+                assert b.embedding_dim == a.embedding_dim
+                assert [e.members for e in b.report] == [e.members for e in a.report]
+                tol = 1e-12 * np.abs(x.samples).max()
+                for ma, mb in zip([*a.modes, a.residual], [*b.modes, b.residual]):
+                    assert np.abs(mb.samples - ma.samples[::-1]).max() <= tol
+
     def test_k_override_out_of_range(self):
         x = TimeSeries(np.arange(20, dtype=float), 1.0)
         with pytest.raises(ValueError):
@@ -500,7 +535,7 @@ def solve_basis(x, K, alpha, order, n_pairs=None):
 
 
 def naive_clusters(basis, cfg):
-    """Greedy clustering by one similarity() call per pair, the reference loop."""
+    """Greedy clustering by one pair_similarity() call per pair, the reference loop."""
     V = basis.vectors
     scale = np.std(V, axis=1) if cfg.similarity == "normalized-euclidean" else None
     consumed = basis.negligible.tolist()
@@ -515,7 +550,7 @@ def naive_clusters(basis, cfg):
         for j in range(i + 1, len(basis)):
             if consumed[j]:
                 continue
-            if similarity(V[:, i], V[:, j], cfg.similarity, scale) > cfg.merge_threshold:
+            if pair_similarity(V[:, i], V[:, j], cfg.similarity, scale) > cfg.merge_threshold:
                 consumed[j] = True
                 members.append(j)
         clusters.append(tuple(members))
@@ -583,7 +618,7 @@ class TestArrayPathOracles:
             # upper quartile, so that members merge and no pair sits on the threshold
             V = basis.vectors
             scale = np.std(V, axis=1) if measure == "normalized-euclidean" else None
-            sims = np.unique([similarity(V[:, i], V[:, j], measure, scale)
+            sims = np.unique([pair_similarity(V[:, i], V[:, j], measure, scale)
                               for i in range(K) for j in range(i + 1, K)])
             q = int(0.75 * (len(sims) - 1))
             theta = float(sims[q] + sims[q + 1]) / 2
