@@ -28,7 +28,8 @@ from .signals import (
     gen_sinusoid_mixture,
     periodogram,
     read_timeseries_csv,
-    score_mode,
+    score_mode,  # noqa: F401  the one-pair case of score_rows, kept as rmd.bench.score_mode
+    score_rows,
     unit_scaled,
 )
 
@@ -245,7 +246,8 @@ class ExperimentReport:
         doc = {
             "schema_version": self.schema_version,
             "spec": self.spec.to_dict(),
-            "cells": [asdict(c) for c in self.cells],
+            # each cell's fields, as asdict gives them without its deep copy
+            "cells": [{**vars(c), "scores": [vars(s) for s in c.scores]} for c in self.cells],
             "aggregates": self.aggregates(),
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -298,15 +300,13 @@ def match_modes_to_truths(
     return assignment
 
 
-def _sideband_presence(mode: TimeSeries, f_center: float, f_mod: float) -> bool:
-    """True when both modulation sidebands clear the mode's spectral floor."""
-    spec = periodogram(mode)
-    floor = float(np.median(spec.power))
-    ok = True
-    for f in (f_center - f_mod, f_center + f_mod):
-        k = int(np.argmin(np.abs(spec.frequencies - f)))
-        ok = ok and bool(spec.power[k] > floor)
-    return ok
+def _sideband_presence(power: np.ndarray, truth: TimeSeries, spec: ExperimentSpec) -> bool:
+    """True when both sidebands at ``spec.f1_hz`` +- ``spec.f_mod_hz`` clear the
+    floor (median) of a mode's power, on the grid of the truth it matched."""
+    freqs = np.fft.rfftfreq(len(truth), d=1.0 / truth.sample_rate)
+    floor = np.median(power)
+    return all(power[np.argmin(np.abs(freqs - f))] > floor
+               for f in (spec.f1_hz - spec.f_mod_hz, spec.f1_hz + spec.f_mod_hz))
 
 
 def _score_cell(
@@ -315,38 +315,32 @@ def _score_cell(
     truths: list[TimeSeries],
     profile: tuple[list[float | None], np.ndarray],
 ) -> tuple[tuple[float | None, ...], tuple[ComponentScore, ...]]:
-    am_truth_index = 0 if spec.generator == "am-mixture" else None
+    """Mode peaks and one score per truth; the matched (mode, truth) pairs are
+    scored in one ``score_rows`` pass, whose power rows give the AM sidebands."""
     assignment = match_modes_to_truths(ms, *profile)
-    truth_freqs = profile[0]
+    matched = sorted(assignment)
+    if matched:
+        metrics, power = score_rows(np.stack([ms.modes[assignment[t]].samples for t in matched]),
+                                    np.stack([truths[t].samples for t in matched]),
+                                    truths[0].sample_rate)
     scores = []
-    for ti, truth in enumerate(truths):
-        freq = truth_freqs[ti] if truth_freqs[ti] is not None else 0.0
-        mi = assignment.get(ti)
-        if mi is None:
-            scores.append(ComponentScore(
-                true_freq_hz=freq, matched=False, mode_index=None,
-                peak_freq_hz=None, correlation=None, rmse=None,
-                within_peak_tol=None,
-            ))
+    for ti, f in enumerate(profile[0]):
+        freq = f if f is not None else 0.0
+        if ti not in assignment:
+            scores.append(ComponentScore(freq, False, None, None, None, None, None))
             continue
-        metrics = score_mode(ms.modes[mi], truth)
-        peak = metrics.peak_frequency
-        sidebands = None
-        if am_truth_index is not None and ti == am_truth_index:
-            sidebands = _sideband_presence(ms.modes[mi], spec.f1_hz, spec.f_mod_hz)
+        row = matched.index(ti)
+        m = metrics[row]
+        sidebands = (_sideband_presence(power[row], truths[ti], spec)
+                     if spec.generator == "am-mixture" and ti == 0 else None)
         scores.append(ComponentScore(
-            true_freq_hz=freq,
-            matched=True,
-            mode_index=mi,
-            peak_freq_hz=peak,
-            correlation=metrics.correlation,
-            rmse=metrics.rmse,
-            within_peak_tol=(abs(peak - freq) <= spec.peak_tol_hz
-                             if peak is not None else False),
+            true_freq_hz=freq, matched=True, mode_index=assignment[ti],
+            peak_freq_hz=m.peak_frequency, correlation=m.correlation, rmse=m.rmse,
+            within_peak_tol=(abs(m.peak_frequency - freq) <= spec.peak_tol_hz
+                             if m.peak_frequency is not None else False),
             sidebands_present=sidebands,
         ))
-    mode_peaks = tuple(e.peak_frequency_hz for e in ms.report)
-    return mode_peaks, tuple(scores)
+    return tuple(e.peak_frequency_hz for e in ms.report), tuple(scores)
 
 
 def _band_label(peak: float | None) -> str:

@@ -28,7 +28,8 @@ from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.mod
     smoothing_matrix,
     solve_generalized,
 )
-from .signals import TimeSeries, dominant_frequency, periodogram, unit_scaled, write_timeseries_csv
+from .signals import periodogram  # noqa: F401  re-exported as rmd.modes.periodogram
+from .signals import TimeSeries, periodogram_power, row_peaks, unit_scaled, write_timeseries_csv
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
@@ -84,7 +85,8 @@ class DecompositionConfig:
 
 @dataclass(frozen=True)
 class ModeReport:
-    """Per-mode bookkeeping: merged eigenvalue mass, roughness, energy."""
+    """Per-mode statistics of the member eigenpairs: their gamma sum, gamma-weighted
+    mean mu and energy sum v^T G v = gamma (1 + alpha mu) (>= gamma, equal at alpha = 0)."""
 
     gamma: float
     mu: float
@@ -146,10 +148,11 @@ def similarity(V: np.ndarray, measure: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MergedMode:
-    """A cluster of eigenvectors collapsed to one representative direction."""
+    """A cluster of eigenpairs and the statistics of its members."""
 
-    vector: np.ndarray           # eigenvalue-weighted mean, unit norm
     gamma_total: float           # sum of member eigenvalues
+    mu: float                    # gamma-weighted mean of the members' roughness
+    energy: float                # sum of gamma_i (1 + alpha mu_i) = v_i^T G v_i
     member_indices: tuple[int, ...]  # indices into the sorted eigenbasis
 
 
@@ -162,10 +165,10 @@ def cluster_and_merge(
     later unconsumed vector whose similarity to the seed exceeds the merge
     threshold; one ``similarity`` call per basis gives every pair's value
     (normalized-euclidean scales coordinates by their spread over the basis's
-    columns, only the top m pairs when the solve was truncated).  Members
-    are sign-aligned to the seed and combined by an eigenvalue-weighted
-    mean, renormalized to unit norm.  Clustering stops
-    after ``n_modes`` clusters or when all vectors are spent; leftovers
+    columns, only the top m pairs when the solve was truncated).  A cluster's
+    statistics are sums and gamma-weighted means over its members, so no basis
+    the solver picks inside a near-degenerate pair moves them.  Clustering
+    stops after ``n_modes`` clusters or when all vectors are spent; leftovers
     (including the numerically negligible pairs, which never join clusters)
     are returned as the residual set.
     """
@@ -186,17 +189,13 @@ def cluster_and_merge(
         consumed[joined] = True
         members = [i, *joined.tolist()]
 
-        W = V[:, members]
-        W = W * np.where(W.T @ W[:, 0] < 0, -1.0, 1.0)
-        gammas = basis.gammas[members]
+        gammas, mus = basis.gammas[members], basis.mu[members]
         total = float(sum(gammas))
-        # all-zero eigenvalues (EIGEN_FLOOR * gmax underflows to 0 for gmax below
-        # about 5e-312, so zero gammas are not negligible): equal weights
-        vec = W @ gammas / total if total > 0 else W.mean(axis=1)
-        vec = vec / np.linalg.norm(vec)
-        merged.append(
-            MergedMode(vector=vec, gamma_total=total, member_indices=tuple(members))
-        )
+        # zero gammas pass the floor when EIGEN_FLOOR * gmax underflows: equal weights
+        weights = gammas / total if total > 0 else np.full(len(members), 1 / len(members))
+        merged.append(MergedMode(gamma_total=total, mu=float(weights @ mus),
+                                 energy=float(sum(gammas * (1.0 + config.alpha * mus))),
+                                 member_indices=tuple(members)))
     leftovers = [V[:, i] for i in range(m) if not consumed[i]]
     leftovers += [V[:, i] for i in np.flatnonzero(basis.negligible)]
     return merged, leftovers
@@ -232,9 +231,10 @@ def _scale_back(
 ) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
     """Modes, residual and reports of x from mode samples found on xs = x / 2**shift.
 
-    ``stats`` holds one (gamma, mu, energy, members) per part.  The residual
-    xs - sum(parts) is taken and checked on xs, where nothing overflows, and
-    each peak is read there.  Samples then scale back by 2**shift, gamma and
+    ``parts`` holds one row of samples and ``stats`` one (gamma, mu, energy,
+    members) per mode.  The residual xs - sum(parts) is taken and checked on xs,
+    where nothing overflows, and the peaks are read there from one periodogram
+    of the stacked parts.  Samples then scale back by 2**shift, gamma and
     energy by 4**shift; power-of-two scaling is exact, so the decomposition is
     scale-equivariant, except that scaling down (shift <= 0) rounds samples
     below 2**-1022: there the residual is taken as x minus the scaled-back
@@ -243,11 +243,11 @@ def _scale_back(
     """
     residual = xs.samples - sum(parts)
     _verify_completeness(xs.samples, parts, residual)
+    freqs = np.fft.rfftfreq(len(x), d=1.0 / x.sample_rate)
+    # a mode whose 0 Hz bin is its strongest reports a 0.0 Hz peak
+    peaks = row_peaks(periodogram_power(parts), freqs, dc=True)
     report = []
-    for samples, (gamma, mu, energy, members) in zip(parts, stats):
-        spec = periodogram(xs.with_samples(samples))
-        # a mode whose 0 Hz bin is its strongest reports a 0.0 Hz peak
-        peak = 0.0 if 0.0 < spec.power[0] >= spec.power.max() else dominant_frequency(spec)
+    for peak, (gamma, mu, energy, members) in zip(peaks, stats):
         with np.errstate(over="ignore"):
             gamma, energy = np.ldexp([gamma, energy], 2 * shift)
         report.append(ModeReport(gamma=float(gamma), mu=mu, energy=float(energy),
@@ -269,10 +269,9 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     reconstruction -> residual.  Pairs past the top m are never computed,
     so they join no cluster and stay in the residual.  Each
     cluster is the diagonal average of its members' rank-1 projections
-    X v v^T (the additive form the shrinkage gains are defined for); the
-    merged mean vector stays the cluster's reported representative.  The
-    residual is the input minus the modes, so modes + residual reproduce
-    the input.
+    X v v^T (the additive form the shrinkage gains are defined for), and its
+    ``ModeReport`` holds its members' statistics.  The residual is the input
+    minus the modes, so modes + residual reproduce the input.
 
     The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1), and
     ``_scale_back`` returns its results to the scale of x exactly.  Before any
@@ -286,8 +285,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     xs = x.with_samples(samples)
     K = config.K_override if config.K_override is not None else select_embedding_dimension(xs)
     X = build_trajectory_matrix(xs, K)  # the one check on the caller's K: K <= N - 1
-    G = gram(X)
-    basis = solve_generalized(G, config.alpha, config.diff_order,
+    basis = solve_generalized(gram(X), config.alpha, config.diff_order,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)
 
     clusters, _ = cluster_and_merge(basis, config)
@@ -297,15 +295,9 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
                  else np.ones(len(basis)))
     parts = _anti_diagonal_average(X, basis.vectors, gains,
                                    [list(c.member_indices) for c in clusters])
-    stats = [
-        (c.gamma_total, float(np.sum(np.diff(c.vector, n=config.diff_order) ** 2)),
-         float(c.vector @ G @ c.vector), len(c.member_indices))
-        for c in clusters
-    ]
     order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma_total)
-    modes, residual, report = _scale_back(
-        x, xs, shift, [parts[i] for i in order], [stats[i] for i in order]
-    )
+    stats = [(c.gamma_total, c.mu, c.energy, len(c.member_indices)) for c in clusters]
+    modes, residual, report = _scale_back(x, xs, shift, parts[order], [stats[i] for i in order])
 
     warnings = () if len(modes) >= config.n_modes else (
         f"requested {config.n_modes} modes but only {len(modes)} cluster(s) were available",)
@@ -348,7 +340,7 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
 
     parts = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
     stats = [(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1) for i in range(r)]
-    modes, residual, report = _scale_back(x, xs, shift, list(parts), stats)
+    modes, residual, report = _scale_back(x, xs, shift, parts, stats)
     config = DecompositionConfig(n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
                                  similarity="cosine", K_override=K)
     return ModeSet(modes=modes, residual=residual, report=report, config=config,

@@ -220,52 +220,70 @@ def add_noise_at_snr(
         return x.with_samples(x.samples + noise), x.with_samples(noise)
 
 
-def periodogram(x: TimeSeries) -> Spectrum:
-    """Plain (unwindowed, unpadded) one-sided periodogram.
-
+def periodogram_power(rows: np.ndarray) -> np.ndarray:
+    """The one-sided periodogram power of each row of a 2-D array, by one ``rfft``.
     Power per bin is ``|DFT|**2 / N**2`` with interior bins doubled, so the
-    bin powers sum to the signal's mean squared sample (Parseval).  An
-    on-grid sinusoid of amplitude A therefore shows a single bin of power
-    A**2 / 2, and a bin whose power exceeds the float64 range reads inf.
+    bin powers sum to the row's mean squared sample (Parseval).  An on-grid
+    sinusoid of amplitude A therefore shows a single bin of power A**2 / 2,
+    and a bin whose power exceeds the float64 range reads inf.
     """
-    n = len(x)
-    spec = np.fft.rfft(x.samples)
+    n = rows.shape[-1]
+    spec = np.fft.rfft(rows, axis=-1)
     with np.errstate(over="ignore"):
         power = (spec.real**2 + spec.imag**2) / (n * n)
         # double every bin that has a negative-frequency twin
-        power[1:] *= 2.0
+        power[:, 1:] *= 2.0
     if n % 2 == 0:
-        power[-1] /= 2.0  # Nyquist bin is its own twin
-    freqs = np.fft.rfftfreq(n, d=1.0 / x.sample_rate)
-    return Spectrum(freqs, power)
+        power[:, -1] /= 2.0  # Nyquist bin is its own twin
+    return power
+
+
+def periodogram(x: TimeSeries) -> Spectrum:
+    """Plain (unwindowed, unpadded) periodogram: one row of ``periodogram_power``."""
+    return Spectrum(np.fft.rfftfreq(len(x), d=1.0 / x.sample_rate),
+                    periodogram_power(x.samples[None])[0])
+
+
+def row_peaks(power: np.ndarray, freqs: np.ndarray, dc: bool = False) -> list[float | None]:
+    """``dominant_frequency`` of each row of ``power`` (at least 2 bins) on the
+    grid ``freqs``; with ``dc``, a row whose positive 0 Hz bin is its strongest
+    peaks at 0.0 instead."""
+    body = power[:, 1:]
+    k = np.argmax(body, axis=1)
+    some = body[np.arange(k.size), k] > 0
+    at_dc = dc & (power[:, 0] > 0) & (power[:, 0] >= power.max(axis=1))
+    return [0.0 if z else float(freqs[1 + j]) if s else None
+            for z, s, j in zip(at_dc.tolist(), some.tolist(), k.tolist())]
 
 
 def dominant_frequency(s: Spectrum) -> float | None:
-    """Frequency of the strongest non-DC bin, or None if there is none.
-
-    Ties break toward the lower frequency; the 0 Hz bin never wins.
-    """
-    if s.power.size < 2:
-        return None
-    body = s.power[1:]
-    if not np.any(body > 0):
-        return None
-    return float(s.frequencies[1 + int(np.argmax(body))])
+    """Frequency of the strongest non-DC bin (ties break low), or None if there is none."""
+    return row_peaks(s.power[None], s.frequencies)[0] if s.power.size >= 2 else None
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length sequences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    da = a - a.mean()
-    db = b - b.mean()
-    na = np.linalg.norm(da)
-    nb = np.linalg.norm(db)
-    if na == 0 or nb == 0:
+def score_rows(candidates: np.ndarray, truths: np.ndarray,
+               sample_rate: float) -> tuple[list[ModeMetrics], np.ndarray]:
+    """``score_mode`` of each row pair of two (p, N) arrays in one pass, and each candidate's
+    power on its pair's ``unit_scaled`` scale; a zero-variance row raises ValueError."""
+    pairs = np.stack([candidates, truths], axis=1)
+    shift = np.frexp(np.abs(pairs).max(axis=(1, 2)))[1]
+    a, b = np.moveaxis(np.ldexp(pairs, -shift[:, None, None]), 1, 0)
+    # each centred row on its own unit scale, where no square underflows
+    da, db = (np.ldexp(d, -np.frexp(np.abs(d).max(axis=1, keepdims=True))[1])
+              for d in (a - a.mean(axis=1, keepdims=True), b - b.mean(axis=1, keepdims=True)))
+    # one BLAS dot per row and product, each rounding as da[i] @ db[i] does
+    ab, aa, bb = np.matmul(np.stack([da, da, db])[:, :, None],
+                           np.stack([db, da, db])[..., None])[..., 0, 0]
+    if not (np.all(aa > 0) and np.all(bb > 0)):
         raise ValueError("zero-variance input; correlation undefined")
-    return float(da @ db / (na * nb))
+    # rounding can push a perfect correlation a ULP past 1
+    r = np.clip(ab / (np.sqrt(aa) * np.sqrt(bb)), -1.0, 1.0)
+    sign = np.where(r < 0, -1.0, 1.0)[:, None]
+    with np.errstate(over="ignore"):  # an RMSE past the float64 range reads inf
+        rmse = np.ldexp(np.sqrt(np.mean((sign * a - b) ** 2, axis=1)), shift)
+    power = periodogram_power(a)
+    peaks = row_peaks(power, np.fft.rfftfreq(a.shape[1], d=1.0 / sample_rate))
+    return [ModeMetrics(p, abs(c), e) for p, c, e in zip(peaks, r.tolist(), rmse.tolist())], power
 
 
 def score_mode(candidate: TimeSeries, truth: TimeSeries) -> ModeMetrics:
@@ -275,18 +293,11 @@ def score_mode(candidate: TimeSeries, truth: TimeSeries) -> ModeMetrics:
     maximize the Pearson correlation; the correlation is reported as an
     absolute value and the RMSE is computed after that alignment.  Both are
     scored on the pair's ``unit_scaled`` samples and the RMSE scaled back, so
-    any finite magnitude scores without overflow.
+    any finite magnitude scores without overflow: the one-pair ``score_rows``.
     """
     if len(candidate) != len(truth) or candidate.sample_rate != truth.sample_rate:
         raise ValueError("candidate and truth must share length and sample rate")
-    (a, b), shift = unit_scaled(np.stack([candidate.samples, truth.samples]))
-    # rounding can push a perfect correlation a ULP past 1
-    r = max(-1.0, min(1.0, pearson(a, b)))
-    sign = -1.0 if r < 0 else 1.0
-    with np.errstate(over="ignore"):  # an RMSE past the float64 range reads inf
-        rmse = float(np.ldexp(np.sqrt(np.mean((sign * a - b) ** 2)), shift))
-    peak = dominant_frequency(periodogram(candidate.with_samples(a)))
-    return ModeMetrics(peak_frequency=peak, correlation=abs(r), rmse=rmse)
+    return score_rows(candidate.samples[None], truth.samples[None], truth.sample_rate)[0][0]
 
 
 # ---------------------------------------------------------------------------

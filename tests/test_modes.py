@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from signal_families import hostile_valid_samples
 
 import rmd.modes
+from rmd.bench import _usable_cores
 from rmd.eigen import EigenBasis, NumericalError, gram, solve_generalized
 from rmd.embedding import SignalTooShortError, build_trajectory_matrix, diagonal_average
 from rmd.modes import (
@@ -36,7 +42,8 @@ def make_basis(vectors, gammas):
     V = V / np.linalg.norm(V, axis=0)
     k = len(gammas)
     return EigenBasis(
-        gammas=np.asarray(gammas, dtype=float), vectors=V, mu=np.zeros(k),
+        gammas=np.asarray(gammas, dtype=float), vectors=V,
+        mu=np.sum(np.diff(V, axis=0) ** 2, axis=0),
         negligible=np.zeros(k, dtype=bool),
     )
 
@@ -170,22 +177,30 @@ class TestClusterAndMerge:
     def test_duplicate_pair_merges(self):
         e1 = [1.0, 0.0, 0.0]
         e2 = [0.0, 1.0, 0.0]
-        basis = make_basis([e1, e1, e2], [3.0, 2.0, 1.0])
-        cfg = DecompositionConfig(n_modes=2, similarity="cosine")
+        basis = replace(make_basis([e1, e1, e2], [3.0, 2.0, 1.0]), mu=np.array([0.5, 2.0, 1.0]))
+        cfg = DecompositionConfig(n_modes=2, similarity="cosine", alpha=0.25)
         clusters, leftovers = cluster_and_merge(basis, cfg)
-        assert clusters[0].member_indices == (0, 1)
-        np.testing.assert_allclose(clusters[0].vector, e1, atol=1e-12)
-        assert clusters[0].gamma_total == 5.0
-        assert clusters[1].member_indices == (2,)
+        assert [c.member_indices for c in clusters] == [(0, 1), (2,)]
         assert leftovers == []
+        # the members' statistics: gamma summed, mu gamma-weighted, energy sum gamma (1 + alpha mu)
+        assert clusters[0].gamma_total == 5.0
+        assert clusters[0].mu == pytest.approx((3.0 * 0.5 + 2.0 * 2.0) / 5.0, rel=1e-15)
+        assert clusters[0].energy == 3.0 * 1.125 + 2.0 * 1.5
+        # one member: its own mu, exactly
+        assert (clusters[1].gamma_total, clusters[1].mu, clusters[1].energy) == (1.0, 1.0, 1.25)
 
     def test_sign_flipped_duplicate_merges_cleanly(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        basis = make_basis([e1, -e1, [0, 1, 0]], [3.0, 2.0, 1.0])
+        mu = np.array([0.5, 2.0, 1.0])
         cfg = DecompositionConfig(n_modes=2, similarity="cosine")
-        clusters, _ = cluster_and_merge(basis, cfg)
-        # without sign alignment the weighted mean would nearly cancel
-        np.testing.assert_allclose(np.abs(clusters[0].vector), e1, atol=1e-12)
+        flipped, _ = cluster_and_merge(
+            replace(make_basis([e1, -e1, [0, 1, 0]], [3.0, 2.0, 1.0]), mu=mu), cfg)
+        same, _ = cluster_and_merge(
+            replace(make_basis([e1, e1, [0, 1, 0]], [3.0, 2.0, 1.0]), mu=mu), cfg)
+        # a member's sign changes nothing a cluster reports
+        assert [(c.member_indices, c.gamma_total, c.mu, c.energy) for c in flipped] == \
+            [(c.member_indices, c.gamma_total, c.mu, c.energy) for c in same]
+        assert flipped[0].member_indices == (0, 1)
 
     def test_quadrature_pair_of_tone_merges_with_spectral(self):
         tone, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)
@@ -212,8 +227,43 @@ class TestClusterAndMerge:
             basis, DecompositionConfig(n_modes=2, similarity="cosine"))
         assert [c.member_indices for c in clusters] == [(0, 1), (2,)]
         assert leftovers == [] and clusters[0].gamma_total == 0.0
-        equal = basis.vectors[:, :2].mean(axis=1)  # zero weights: the plain mean
-        np.testing.assert_allclose(clusters[0].vector, equal / np.linalg.norm(equal))
+        assert clusters[0].energy == 0.0
+        mu = np.sum(np.diff(basis.vectors[:, :2], axis=0) ** 2, axis=0)
+        # zero weights: the members' plain mean
+        assert clusters[0].mu == pytest.approx(mu.mean(), rel=1e-15) and clusters[0].mu > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_ignore_the_basis_within_degenerate_pairs(self, seed):
+        # An exact 2 + 5 Hz pair at 200 Hz, with L = 2000 and K = 200 multiples of
+        # both periods: at alpha = 0 each tone's eigenpair is degenerate to rounding,
+        # so any rotation inside it is as valid a basis as the one LAPACK returns.
+        t = np.arange(2199) / 200.0
+        x = TimeSeries(3.0 * np.sin(2 * np.pi * 2.0 * t + 0.3)
+                       + np.sin(2 * np.pi * 5.0 * t + 1.1), 200.0)
+        cfg = DecompositionConfig(n_modes=2, alpha=0.0, K_override=200)
+        rng = np.random.default_rng(seed)
+
+        def rotated(*args, **kwargs):
+            basis = solve_generalized(*args, **kwargs)
+            V, g = basis.vectors.copy(), basis.gammas
+            pairs = [i for i in range(len(g) - 1) if not basis.negligible[i + 1]
+                     and g[i] - g[i + 1] <= 1e-9 * g[i]]
+            assert len(pairs) == 2
+            for i in pairs:
+                a = rng.uniform(0, 2 * np.pi)
+                V[:, i:i + 2] = V[:, i:i + 2] @ np.array([[np.cos(a), -np.sin(a)],
+                                                          [np.sin(a), np.cos(a)]])
+            return replace(basis, vectors=V, mu=np.sum(np.diff(V, axis=0) ** 2, axis=0))
+
+        ref = rmd_decompose(x, cfg).report
+        with mock.patch.object(rmd.modes, "solve_generalized", rotated):
+            got = rmd_decompose(x, cfg).report
+        assert [(r.members, r.peak_frequency_hz) for r in got] == \
+            [(r.members, r.peak_frequency_hz) for r in ref]
+        assert [(r.members, round(r.peak_frequency_hz)) for r in ref] == [(2, 2), (2, 5)]
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose([a.gamma, a.mu, a.energy], [b.gamma, b.mu, b.energy],
+                                       rtol=1e-12, atol=0)
 
 
 class TestReconstructMode:
@@ -696,3 +746,62 @@ class TestModeSetSerialization:
             assert {"gamma", "mu", "energy", "members", "peak_frequency_hz"} <= set(entry)
         peaks = sorted(m["peak_frequency_hz"] for m in doc["modes"])
         assert peaks == [2.0, 5.0, 19.0]
+
+
+# A fixed decomposition set, run in a subprocess under one BLAS thread count:
+# pickles (K, cluster member tuples, peaks, modes + residual) per case.
+BLAS_CASES = """
+import pickle, sys
+import numpy as np
+import rmd.modes
+from rmd.modes import DecompositionConfig, rmd_decompose
+from rmd.signals import TimeSeries, add_noise_at_snr
+
+members, cluster_and_merge = [], rmd.modes.cluster_and_merge
+def recorded(*args):
+    clusters, leftovers = cluster_and_merge(*args)
+    members.append([c.member_indices for c in clusters])
+    return clusters, leftovers
+rmd.modes.cluster_and_merge = recorded
+t = np.arange(2048) / 100.0
+x = TimeSeries(np.sin(2 * np.pi * 0.3 * t + 1.0) + 0.5 * np.sin(2 * np.pi * 1.2 * t + 2.0), 100.0)
+x = add_noise_at_snr(x, 0.0, 0)[0]
+out = []
+for order, K in [(1, 682), (2, 682), (1, None), (2, 200)]:
+    ms = rmd_decompose(x, DecompositionConfig(n_modes=4, alpha=2.0, diff_order=order, K_override=K))
+    out.append((ms.embedding_dim, members[-1], [r.peak_frequency_hz for r in ms.report],
+                np.vstack([*(m.samples for m in ms.modes), ms.residual.samples])))
+pickle.dump((out, float(np.abs(x.samples).max())), sys.stdout.buffer)
+"""
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        return "openblas" in deps["blas"]["name"].lower()
+    except Exception:  # numpy too old to report its BLAS as a dict
+        return False
+
+
+class TestBlasThreadCount:
+    """Reruns are byte-identical only at a fixed BLAS thread count.  On the
+    same G and C, numpy's syevd returns other rounding on 2 OpenBLAS threads
+    than on 1 at K = 410 and 682 (not at 200), so the modes move by rounding;
+    K, the clusters and the peaks must not."""
+
+    def test_one_and_two_threads_agree_to_rounding(self):
+        if not _blas_is_openblas():
+            pytest.skip("numpy does not report OpenBLAS as its BLAS")
+        if _usable_cores() < 2:
+            pytest.skip("fewer than 2 usable cores")
+        path = os.pathsep.join(p for p in sys.path if p)
+        runs = [subprocess.Popen([sys.executable, "-c", BLAS_CASES], stdout=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONPATH": path,
+                                      "OPENBLAS_NUM_THREADS": str(n)})
+                for n in (1, 2)]
+        outputs = [r.communicate(timeout=120)[0] for r in runs]
+        assert [r.returncode for r in runs] == [0, 0]
+        (one, scale), (two, _) = map(pickle.loads, outputs)
+        for a, b in zip(one, two):
+            assert a[:3] == b[:3]  # K, member tuples, peaks
+            assert np.abs(a[3] - b[3]).max() <= 1e-12 * scale

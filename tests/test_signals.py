@@ -18,8 +18,12 @@ from rmd.signals import (
     gen_am_mixture,
     gen_sinusoid_mixture,
     periodogram,
+    periodogram_power,
     read_timeseries_csv,
+    row_peaks,
     score_mode,
+    score_rows,
+    unit_scaled,
     write_spectrum_csv,
     write_timeseries_csv,
 )
@@ -284,6 +288,105 @@ class TestScoreMode:
         const = truths[0].with_samples(np.ones(len(truths[0])))
         with pytest.raises(ValueError):
             score_mode(const, truths[0])
+
+
+def reference_peak(spec, dc):
+    """One spectrum's peak by the per-spectrum rules: the strongest non-DC bin,
+    None if no bin past 0 Hz is positive; with ``dc``, 0.0 where a positive
+    0 Hz bin is the strongest."""
+    p = spec.power
+    if dc and 0.0 < p[0] >= p.max():
+        return 0.0
+    return float(spec.frequencies[1 + int(np.argmax(p[1:]))]) if np.any(p[1:] > 0) else None
+
+
+def reference_score(candidate, truth):
+    """(peak, correlation, rmse) of one pair: Pearson correlation and the
+    sign-aligned RMSE on the pair's unit-scaled samples, one pair at a time."""
+    (a, b), shift = unit_scaled(np.stack([candidate.samples, truth.samples]))
+    da, db = a - a.mean(), b - b.mean()
+    na, nb = np.linalg.norm(da), np.linalg.norm(db)
+    if na == 0 or nb == 0:
+        raise ValueError("zero-variance input; correlation undefined")
+    r = max(-1.0, min(1.0, float(da @ db / (na * nb))))
+    sign = -1.0 if r < 0 else 1.0
+    rmse = float(np.ldexp(np.sqrt(np.mean((sign * a - b) ** 2)), shift))
+    return reference_peak(periodogram(candidate.with_samples(a)), dc=False), abs(r), rmse
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_rows_match_one_row_periodograms(self, n, rng):
+        t = np.arange(n) / 16.0
+        tone = np.sin(2 * np.pi * 3.0 * t)
+        rows = np.stack([
+            rng.standard_normal(n),
+            np.zeros(n),
+            tone,
+            np.ldexp(rng.standard_normal(n), 600),  # its powers overflow to inf
+            np.ldexp(rng.standard_normal(n), -600),
+            1.0 + 0.1 * tone,  # a DC-dominated row
+            np.ones(n),  # power at 0 Hz only
+        ])
+        power = periodogram_power(rows)
+        specs = [periodogram(TimeSeries(row, 16.0)) for row in rows]
+        for p, spec in zip(power, specs):
+            assert np.array_equal(p, spec.power)
+        for dc in (False, True):
+            peaks = row_peaks(power, specs[0].frequencies, dc=dc)
+            assert peaks == [reference_peak(spec, dc) for spec in specs]
+        assert row_peaks(power, specs[0].frequencies, dc=True)[5:] == [0.0, 0.0]
+        assert dominant_frequency(specs[1]) is None
+        assert dominant_frequency(specs[2]) == pytest.approx(3.0, abs=16.0 / n)
+
+    @pytest.mark.parametrize("n", [200, 201])
+    def test_scores_match_pair_reference(self, n, rng):
+        t = np.arange(n) / 50.0
+        truths = np.stack([np.sin(2 * np.pi * f * t + f) for f in (1.0, 4.0, 9.0, 12.0)])
+        candidates = truths + 0.5 * rng.standard_normal(truths.shape)
+        candidates[1] *= -1.0  # sign alignment
+        candidates[2], truths[2] = np.ldexp(candidates[2], 700), np.ldexp(truths[2], 700)
+        truths[3] = np.ldexp(truths[3], -400)  # the pair's rows 2**400 apart
+        metrics, power = score_rows(candidates, truths, 50.0)
+        for i, m in enumerate(metrics):
+            pair = TimeSeries(candidates[i], 50.0), TimeSeries(truths[i], 50.0)
+            peak, corr, rmse = reference_score(*pair)
+            assert m.peak_frequency == peak
+            assert m.correlation == pytest.approx(corr, rel=1e-12, abs=0)
+            assert m.rmse == pytest.approx(rmse, rel=1e-12, abs=0)
+            assert score_mode(*pair) == m
+            # the power is the candidate's on the pair's unit scale
+            scaled = unit_scaled(np.stack([candidates[i], truths[i]]))[0][0]
+            assert np.array_equal(power[i], periodogram(TimeSeries(scaled, 50.0)).power)
+        # a negated candidate scores as the candidate itself
+        unflipped, _ = score_rows(-candidates[1:2], truths[1:2], 50.0)
+        assert (metrics[1].correlation, metrics[1].rmse) == \
+            (unflipped[0].correlation, unflipped[0].rmse)
+
+    def test_rows_far_apart_in_magnitude(self, rng):
+        # 2**700 apart, the smaller row's squares underflow on the pair's unit
+        # scale; each centred row is normed on its own scale instead, so the
+        # correlation keeps its scale invariance
+        candidates = rng.standard_normal((2, 64))
+        truths = candidates + rng.standard_normal((2, 64))
+        base, _ = score_rows(candidates, truths, 1.0)
+        far, _ = score_rows(np.ldexp(candidates, [[700], [0]]),
+                            np.ldexp(truths, [[0], [700]]), 1.0)
+        assert [m.correlation for m in far] == pytest.approx([m.correlation for m in base],
+                                                             rel=1e-12)
+        assert [m.peak_frequency for m in far[:1]] == [m.peak_frequency for m in base[:1]]
+        assert all(math.isfinite(m.rmse) and m.rmse > 2.0**690 for m in far)
+
+    def test_zero_variance_pair_rejected(self, rng):
+        candidates = rng.standard_normal((3, 40))
+        candidates[1] = 0.25
+        truths = rng.standard_normal((3, 40))
+        with pytest.raises(ValueError, match="zero-variance"):
+            reference_score(TimeSeries(candidates[1], 1.0), TimeSeries(truths[1], 1.0))
+        with pytest.raises(ValueError, match="zero-variance"):
+            score_rows(candidates, truths, 1.0)
+        with pytest.raises(ValueError, match="zero-variance"):
+            score_rows(truths, candidates, 1.0)
 
 
 class TestCsvRoundTrip:
