@@ -139,6 +139,9 @@ class ExperimentSpec:
             == len(self.phases or self.frequencies_hz)
         ):
             raise ValueError("frequencies_hz, amplitudes and phases must have equal length")
+        tol = self.peak_tol_hz
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+            raise ValueError(f"peak_tol_hz must be a finite number >= 0, got {tol!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .embedding import MIN_SAMPLES, SignalTooShortError, embedding_dim_from_peak
+from .embedding import MIN_SAMPLES, SignalTooShortError, select_embedding_dimension
 from .eigen import NumericalError
 from .modes import (
     SIMILARITY_MEASURES,
@@ -30,7 +30,6 @@ from .signals import (
     CsvFormatError,
     SineComponent,
     add_noise_at_snr,
-    dominant_frequency,
     gen_am_mixture,
     gen_sinusoid_mixture,
     periodogram,
@@ -281,21 +280,19 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     x = _load_series(args.input, args.sample_rate)
-    spec = periodogram(x)
-    peak = dominant_frequency(spec)
     if len(x) < MIN_SAMPLES:
         raise _CliError(
             EXIT_NUMERIC,
             f"signal too short for an embedding-dimension suggestion ({len(x)} samples)",
         )
-    k = embedding_dim_from_peak(peak, x.sample_rate, len(x))
+    k, peak = select_embedding_dimension(x)  # rmd decompose's K, from the scaled samples
     if peak is None:
         print(f"no dominant frequency (DC-only spectrum); suggested K={k}")
     else:
         print(f"dominant frequency: {peak:g} Hz; suggested K={k}")
     if args.out is not None:
         try:
-            write_spectrum_csv(spec, args.out)
+            write_spectrum_csv(periodogram(x), args.out)  # the raw power
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
         print(f"wrote {args.out}")

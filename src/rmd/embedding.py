@@ -8,7 +8,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signals import TimeSeries, dominant_frequency, periodogram
+from .signals import TimeSeries, dominant_frequency, periodogram, unit_scaled
 
 
 class SignalTooShortError(ValueError):
@@ -36,11 +36,12 @@ def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> 
     return min(max(k, MIN_EMBEDDING_DIM), upper)
 
 
-def select_embedding_dimension(x: TimeSeries) -> int:
-    """Pick the embedding dimension for a series of at least ``MIN_SAMPLES``
-    samples from its spectral peak."""
-    f_max = dominant_frequency(periodogram(x))
-    return embedding_dim_from_peak(f_max, x.sample_rate, len(x))
+def select_embedding_dimension(x: TimeSeries) -> tuple[int, float | None]:
+    """The embedding dimension for a series of at least ``MIN_SAMPLES`` samples
+    and the spectral peak it is picked from, taken on the ``unit_scaled``
+    samples, whose power no finite magnitude pushes past the float64 range."""
+    f_max = dominant_frequency(periodogram(x.with_samples(unit_scaled(x.samples)[0])))
+    return embedding_dim_from_peak(f_max, x.sample_rate, len(x)), f_max
 
 
 def build_trajectory_matrix(x: TimeSeries, K: int) -> np.ndarray:
@@ -59,21 +60,29 @@ def hankel_series(X: np.ndarray) -> np.ndarray:
     return np.concatenate([X[:, 0], X[-1, 1:]])
 
 
-def diagonal_average(m: np.ndarray, n_samples: int) -> np.ndarray:
-    """Average the anti-diagonals of an L x K matrix back into a series.
+def diagonal_average(X: np.ndarray, V: np.ndarray, gains, groups) -> np.ndarray:
+    """Diagonal average of ``sum_{m in g} gains[m] * X v_m v_m^T`` for each list g
+    of column indices in ``groups``, one row each; X is the L x K Hankel matrix.
+    With V = I_K, unit gains and one group of all K columns the sum is X itself,
+    and the row is the series X embeds.
 
-    Anti-diagonal k (i + j = k) has min(k+1, L, K, N-k) entries; its mean
-    becomes output sample k.  The map is linear and inverts the Hankel
-    embedding exactly.
+    Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], sample k
+    of the full convolution u * v.  One projection X V serves every group: its
+    column u = X v is the correlation of the series with v, taken by DFT; a
+    group's convolutions are summed as products of zero-padded DFTs, and the
+    anti-diagonal counts finish the average without forming any L x K matrix
+    (after Korobeynikov, arXiv:0911.4498).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    L, K = m.shape
-    if L + K - 1 != n_samples:
-        raise ValueError(f"shape {L}x{K} does not flatten to {n_samples} samples")
-    idx = (np.arange(L)[:, None] + np.arange(K)[None, :]).ravel()
-    sums = np.zeros(n_samples)
-    np.add.at(sums, idx, m.ravel())
-    counts = np.bincount(idx, minlength=n_samples)
-    return sums / counts
+    cols = [m for g in groups for m in g]
+    L, K = X.shape
+    n = L + K - 1
+    nfft = 1 << (n - 1).bit_length()  # >= n, the length of u * v, so nothing wraps
+    FW = np.fft.rfft(V[:, cols], nfft, axis=0)
+    # u[i] = sum_j x[i + j] v[j]: lags i < L never meet the wrapped negative lags
+    XW = np.fft.irfft(np.fft.rfft(hankel_series(X), nfft)[:, None] * FW.conj(), nfft, axis=0)[:L]
+    spec = np.fft.rfft(XW * gains[cols], nfft, axis=0) * FW
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    sums = np.fft.irfft(spec @ (owner[:, None] == np.arange(len(groups))), nfft, axis=0)[:n]
+    k = np.arange(n)
+    counts = np.minimum(np.minimum(k + 1, n - k), min(L, K))
+    return sums.T / counts

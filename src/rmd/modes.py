@@ -15,8 +15,7 @@ from .embedding import (
     MIN_SAMPLES,
     SignalTooShortError,
     build_trajectory_matrix,
-    diagonal_average,  # noqa: F401  re-exported as rmd.modes.diagonal_average
-    hankel_series,
+    diagonal_average,
     select_embedding_dimension,
 )
 from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.modes.*
@@ -201,31 +200,6 @@ def cluster_and_merge(
     return merged, leftovers
 
 
-def _anti_diagonal_average(X: np.ndarray, V: np.ndarray, gains, groups) -> np.ndarray:
-    """Diagonal average of ``sum_{m in g} gains[m] * X v_m v_m^T`` for each list g
-    of column indices in ``groups``, one row each; X is the L x K Hankel matrix.
-
-    Anti-diagonal k of the rank-1 matrix u v^T sums u[i] * v[k - i], sample k
-    of the full convolution u * v.  One projection X V serves every group: its
-    column u = X v is the correlation of the series with v, taken by DFT; a
-    group's convolutions are summed as products of zero-padded DFTs, and the
-    anti-diagonal counts finish the average without forming any L x K matrix.
-    """
-    cols = [m for g in groups for m in g]
-    L, K = X.shape
-    n = L + K - 1
-    nfft = 1 << (n - 1).bit_length()  # >= n, the length of u * v, so nothing wraps
-    FW = np.fft.rfft(V[:, cols], nfft, axis=0)
-    # u[i] = sum_j x[i + j] v[j]: lags i < L never meet the wrapped negative lags
-    XW = np.fft.irfft(np.fft.rfft(hankel_series(X), nfft)[:, None] * FW.conj(), nfft, axis=0)[:L]
-    spec = np.fft.rfft(XW * gains[cols], nfft, axis=0) * FW
-    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    sums = np.fft.irfft(spec @ (owner[:, None] == np.arange(len(groups))), nfft, axis=0)[:n]
-    k = np.arange(n)
-    counts = np.minimum(np.minimum(k + 1, n - k), min(L, K))
-    return sums.T / counts
-
-
 def _scale_back(
     x: TimeSeries, xs: TimeSeries, shift: int, parts, stats,
 ) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
@@ -283,7 +257,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
         raise SignalTooShortError(f"need at least {MIN_SAMPLES} samples to decompose, got {n}")
     samples, shift = unit_scaled(x.samples)
     xs = x.with_samples(samples)
-    K = config.K_override if config.K_override is not None else select_embedding_dimension(xs)
+    K = config.K_override if config.K_override is not None else select_embedding_dimension(xs)[0]
     X = build_trajectory_matrix(xs, K)  # the one check on the caller's K: K <= N - 1
     basis = solve_generalized(gram(X), config.alpha, config.diff_order,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)
@@ -293,8 +267,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     with np.errstate(over="ignore"):  # alpha * mu past the float64 range: gain 0
         gains = (1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage
                  else np.ones(len(basis)))
-    parts = _anti_diagonal_average(X, basis.vectors, gains,
-                                   [list(c.member_indices) for c in clusters])
+    parts = diagonal_average(X, basis.vectors, gains, [list(c.member_indices) for c in clusters])
     order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma_total)
     stats = [(c.gamma_total, c.mu, c.energy, len(c.member_indices)) for c in clusters]
     modes, residual, report = _scale_back(x, xs, shift, parts[order], [stats[i] for i in order])
@@ -338,7 +311,7 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
         warnings = (f"requested {r} components but rank is at most {s.size}",)
         r = s.size
 
-    parts = _anti_diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
+    parts = diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
     stats = [(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1) for i in range(r)]
     modes, residual, report = _scale_back(x, xs, shift, parts, stats)
     config = DecompositionConfig(n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,

@@ -96,12 +96,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "frequencies", _frozen(self.frequencies))
         object.__setattr__(self, "power", _frozen(self.power))
-        if self.frequencies.size != self.power.size or self.frequencies.size == 0:
-            raise ValueError("frequencies and power must be equal-length, non-empty")
-        if self.frequencies[0] != 0.0 or np.any(np.diff(self.frequencies) <= 0):
-            raise ValueError("frequency grid must increase strictly from 0")
-        if np.any(self.power < 0):
-            raise ValueError("power must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,8 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")  # \r\n and \r read as \n
+        # a leading byte-order mark is dropped; \r\n and \r read as \n
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     rows = [line for line in map(str.strip, lines) if line]
@@ -421,7 +416,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
     if not p.is_file():
         return None
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8-sig"))
         rate = float(doc["sample_rate_hz"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None

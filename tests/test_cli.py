@@ -17,7 +17,14 @@ from signal_families import hostile_valid_samples
 import rmd
 from rmd.cli import _build_parser, main
 from rmd.modes import SIMILARITY_MEASURES
-from rmd.signals import TimeSeries, read_timeseries_csv, write_timeseries_csv
+from rmd.signals import (
+    SineComponent,
+    TimeSeries,
+    add_noise_at_snr,
+    gen_sinusoid_mixture,
+    read_timeseries_csv,
+    write_timeseries_csv,
+)
 
 
 def run_cli(*argv):
@@ -343,6 +350,22 @@ class TestSpectrum:
         code = run_cli("spectrum", str(tmp_path / "gone.csv"), "--sample-rate", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("k", [-1000, -560, 0, 560, 1000])
+    def test_peak_and_k_do_not_depend_on_magnitude(self, tmp_path, capsys, k):
+        # the raw power of x * 2**k underflows to 0 or overflows at |k| >= 560; the peak
+        # and K come from the unit-scaled samples, as rmd decompose's K does
+        mix, _ = gen_sinusoid_mixture([SineComponent(1.5, 2.0), SineComponent(7.0, 1.0)],
+                                      100.0, 30.0)
+        x, _ = add_noise_at_snr(mix, 0.0, seed=3)
+        path = tmp_path / "x.csv"
+        write_timeseries_csv(x.with_samples(np.ldexp(x.samples, k)), path)
+        assert run_cli("spectrum", str(path), "--sample-rate", "100") == 0
+        assert "dominant frequency: 1.5 Hz; suggested K=80" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert run_cli("decompose", str(path), "--sample-rate", "100", "-r", "2",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "decomposition.json").read_text())["embedding_dim"] == 80
+
     @pytest.mark.parametrize("command", ["spectrum", "decompose"])
     def test_largest_sample_rates_suggest_the_unit_k(self, tone_file, tmp_path, capsys,
                                                        command):
@@ -489,6 +512,12 @@ class TestBench:
         {"embedding_dim": 1},
         {"embedding_dim": 2, "configs": [{"alpha": 1.0, "diff_order": 2}]},
         {"phases": [0.1]},  # three frequencies, one phase
+        {"peak_tol_hz": None},
+        {"peak_tol_hz": "0.5"},
+        {"peak_tol_hz": True},
+        {"peak_tol_hz": float("nan")},
+        {"peak_tol_hz": float("inf")},
+        {"peak_tol_hz": -0.1},
     ])
     def test_spec_rejected_before_any_cell_exits_2(self, tmp_path, capsys, fields):
         doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
@@ -499,7 +528,8 @@ class TestBench:
         err = capsys.readouterr().err
         # the message names the spec key at fault, not the config field it sets
         assert "bad experiment spec" in err
-        assert ("phases" if "phases" in fields else "embedding_dim must be >=") in err
+        named = next((key for key in ("phases", "peak_tol_hz") if key in fields), None)
+        assert (named or "embedding_dim must be >=") in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("snr", [-4000.0, 4000.0, -1e4, 1e4, float("-inf")])

@@ -351,6 +351,27 @@ class TestSolveGeneralized:
         np.fill_diagonal(cross, 0.0)
         assert cross.max() <= 1e-8
 
+    @pytest.mark.parametrize("K", [8, 200, 682])
+    @pytest.mark.parametrize("alpha", [0.3, 8.0])
+    def test_order1_matches_dct_oracle(self, K, alpha):
+        # the orthonormal DCT-II Q diagonalizes the order-1 D^T D, with eigenvalues
+        # 2 - 2 cos(pi k / K), so M^-1/2 = Q S Q^T with S = (I + alpha Lambda)^-1/2;
+        # then the plain symmetric S Q^T G Q S y = gamma y solves G v = gamma M v, v = Q S y,
+        # with no band Cholesky factor or triangular solve
+        j, k = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
+        Q = np.sqrt(np.where(k == 0, 1.0, 2.0) / K) * np.cos(np.pi * k * (2 * j + 1) / (2 * K))
+        S = (1.0 + alpha * (2.0 - 2.0 * np.cos(np.pi * np.arange(K) / K))) ** -0.5
+        rng = np.random.default_rng(K)
+        w = rng.standard_normal((2 * K, K))  # well conditioned, so no gamma is near 0
+        G = w.T @ w
+        gammas, Y = np.linalg.eigh(S[:, None] * (Q.T @ G @ Q) * S)
+        order = np.argsort(-gammas)
+        V = Q @ (S[:, None] * Y[:, order])
+        basis = solve_generalized(G, alpha, 1)
+        np.testing.assert_allclose(basis.gammas, gammas[order], rtol=1e-12, atol=0)
+        cos = np.abs(np.einsum("ki,ki->i", basis.vectors, V)) / np.linalg.norm(V, axis=0)
+        assert cos.min() >= 1 - 1e-12
+
     def test_cholesky_failure_surfaces(self):
         # 1 + alpha rounds to alpha, so M = I + alpha R is the singular alpha R in
         # float64; a power of 4 makes the last Cholesky pivot exactly 0

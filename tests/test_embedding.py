@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_diagonal_average
 
 from rmd.embedding import (
     build_trajectory_matrix,
@@ -17,7 +18,7 @@ class TestEmbeddingDimension:
     def test_benchmark_low_tone(self):
         # round(1.2 * 200 / 2) = 120 for a 2 Hz dominant tone at 200 Hz
         mixture, _ = gen_sinusoid_mixture([SineComponent(2.0, 1.0)], 200.0, 10.0)
-        assert select_embedding_dimension(mixture) == 120
+        assert select_embedding_dimension(mixture) == (120, 2.0)
 
     def test_low_peak_falls_back_to_third_of_length(self):
         assert embedding_dim_from_peak(0.1, 1000.0, 300) == 100
@@ -32,11 +33,11 @@ class TestEmbeddingDimension:
 
     def test_dc_only_signal_uses_fallback(self):
         x = TimeSeries(np.ones(300), 100.0)
-        assert select_embedding_dimension(x) == 100
+        assert select_embedding_dimension(x) == (100, None)
 
     def test_heuristic_on_mid_tone(self):
         mixture, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)
-        assert select_embedding_dimension(mixture) == 48
+        assert select_embedding_dimension(mixture) == (48, 5.0)
 
 
 class TestBuildTrajectoryMatrix:
@@ -80,18 +81,23 @@ class TestBuildTrajectoryMatrix:
         np.testing.assert_array_equal(hankel_series(tm), x.samples)
 
 
+def average_all(X: np.ndarray) -> np.ndarray:
+    """The live averager with V = I_K, unit gains and one group of all K columns,
+    whose projections sum to X: the series X embeds."""
+    K = X.shape[1]
+    return diagonal_average(X, np.eye(K), np.ones(K), [list(range(K))])[0]
+
+
 class TestDiagonalAverage:
     def test_exact_hankel_inversion(self):
-        out = diagonal_average(np.array([[1.0, 2.0], [2.0, 3.0]]), 3)
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+        out = average_all(np.array([[1.0, 2.0], [2.0, 3.0]]))
+        np.testing.assert_allclose(out, [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_middle_antidiagonal_mean(self):
-        out = diagonal_average(np.array([[0.0, 4.0], [2.0, 0.0]]), 3)
-        np.testing.assert_array_equal(out, [0.0, 3.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            diagonal_average(np.zeros((2, 2)), 4)
+        # X e_2 e_2^T = [[0, 2], [0, 3]]: the middle anti-diagonal's mean is (2 + 0) / 2
+        X = np.array([[1.0, 2.0], [2.0, 3.0]])
+        out = diagonal_average(X, np.eye(2), np.ones(2), [[1]])[0]
+        np.testing.assert_allclose(out, [0.0, 1.0, 3.0], atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 96), seed=st.integers(0, 2**31), frac=st.floats(0.0, 1.0))
@@ -99,14 +105,17 @@ class TestDiagonalAverage:
         k = min(max(2, int(2 + frac * (n - 3))), n - 1)
         x = np.random.default_rng(seed).standard_normal(n)
         tm = build_trajectory_matrix(TimeSeries(x, 1.0), k)
-        np.testing.assert_allclose(diagonal_average(tm, n), x, atol=1e-12)
+        np.testing.assert_allclose(average_all(tm), x, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_linearity(self, seed):
+        # a group's row is the sum of its members' rows, each their dense average
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((7, 5))
-        lhs = diagonal_average(a + b, 11)
-        rhs = diagonal_average(a, 11) + diagonal_average(b, 11)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        X = build_trajectory_matrix(TimeSeries(rng.standard_normal(11), 1.0), 5)
+        V, gains = rng.standard_normal((5, 3)), rng.uniform(0.1, 2.0, 3)
+        rows = diagonal_average(X, V, gains, [[0, 2], [0], [2], [1]])
+        np.testing.assert_allclose(rows[0], rows[1] + rows[2], atol=1e-12)
+        for row, m in zip(rows[1:], (0, 2, 1)):
+            dense = gains[m] * np.outer(X @ V[:, m], V[:, m])
+            np.testing.assert_allclose(row, oracle_diagonal_average(dense), atol=1e-12)

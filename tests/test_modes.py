@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import oracle_diagonal_average
 from signal_families import hostile_valid_samples
 
 import rmd.modes
 from rmd.bench import _usable_cores
 from rmd.eigen import EigenBasis, NumericalError, gram, solve_generalized
-from rmd.embedding import SignalTooShortError, build_trajectory_matrix, diagonal_average
+from rmd.embedding import SignalTooShortError, build_trajectory_matrix
 from rmd.modes import (
     SIMILARITY_MEASURES,
     DecompositionConfig,
-    _anti_diagonal_average,
     cluster_and_merge,
+    diagonal_average,
     rmd_decompose,
     similarity,
     ssa_decompose,
@@ -50,7 +51,7 @@ def make_basis(vectors, gammas):
 
 def reconstruct_one(tm, v, g=1.0):
     """The diagonal average of g * X v v^T, by the pipeline's reconstruction."""
-    return _anti_diagonal_average(tm, np.asarray(v)[:, None], np.array([g]), [[0]])[0]
+    return diagonal_average(tm, np.asarray(v)[:, None], np.array([g]), [[0]])[0]
 
 
 def total(ms):
@@ -273,7 +274,7 @@ class TestReconstructMode:
         tm = build_trajectory_matrix(x, 4)
         v = 0.9 ** np.arange(4)
         v /= np.linalg.norm(v)
-        np.testing.assert_allclose(reconstruct_one(tm, v), diagonal_average(tm, 12), atol=1e-12)
+        np.testing.assert_allclose(reconstruct_one(tm, v), oracle_diagonal_average(tm), atol=1e-12)
 
     def test_orthogonal_vector_gives_zero(self):
         x = TimeSeries(np.full(10, 3.0), 1.0)
@@ -640,9 +641,9 @@ class TestArrayPathOracles:
         assert len(ms.modes) == len(Zs)
         scale = np.abs(x.samples).max()
         for mode, Z in zip(ms.modes, Zs):
-            oracle = diagonal_average(Z, n)
+            oracle = oracle_diagonal_average(Z)
             assert np.abs(mode.samples - oracle).max() <= 1e-12 * scale
-        oracle = diagonal_average(tm - sum(Zs), n)
+        oracle = oracle_diagonal_average(tm - sum(Zs))
         assert np.abs(ms.residual.samples - oracle).max() <= 1e-12 * scale
 
     def test_reconstruct_mode_matches_outer_product_oracle(self, rng):
@@ -651,7 +652,7 @@ class TestArrayPathOracles:
         v = rng.standard_normal(9)
         v /= np.linalg.norm(v)
         out = reconstruct_one(tm, v, g=0.4)
-        oracle = diagonal_average(0.4 * np.outer(tm @ v, v), 40)
+        oracle = oracle_diagonal_average(0.4 * np.outer(tm @ v, v))
         assert np.abs(out - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)

@@ -19,6 +19,7 @@ from rmd.signals import (
     gen_sinusoid_mixture,
     periodogram,
     periodogram_power,
+    read_sample_rate_sidecar,
     read_timeseries_csv,
     row_peaks,
     score_mode,
@@ -421,6 +422,20 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="line 3"):
             read_timeseries_csv(p, 100.0)
 
+    @pytest.mark.parametrize("text, samples", [
+        ("1.0\n2.0\n3.0\n4.0\n", [1.0, 2.0, 3.0, 4.0]),
+        ("0.0,1.0\n0.5,2.0\n1.0,3.0\n", [1.0, 2.0, 3.0]),
+    ], ids=["one-column", "two-column"])
+    def test_byte_order_mark_keeps_first_sample(self, tmp_path, text, samples):
+        p = tmp_path / "sig.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        np.testing.assert_array_equal(read_timeseries_csv(p, 100.0).samples, samples)
+
+    def test_sidecar_with_byte_order_mark(self, tmp_path):
+        csv = tmp_path / "sig.csv"
+        csv.with_suffix(".json").write_bytes(b'\xef\xbb\xbf{"sample_rate_hz": 250.0}\n')
+        assert read_sample_rate_sidecar(csv) == 250.0
+
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "sig.csv"
         p.write_text("")
@@ -451,7 +466,7 @@ def reference_read_csv(path, sample_rate_hz):
 
     path = Path(path)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
