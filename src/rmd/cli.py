@@ -2,7 +2,8 @@
 
 Subcommands: ``decompose`` a signal file, ``synth`` test signals, ``bench``
 an experiment spec, ``spectrum`` inspection.  Exit codes: 0 success, 2 bad
-flags or parameters, 3 I/O or file-format trouble, 4 numerical failure.
+flags or parameters, 3 I/O or file-format trouble, 4 numerical failure; the
+commands raise the library's errors and ``_EXIT_CODES`` maps them in ``main``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# the first row that matches an error gives its exit code; SignalTooShortError and
+# CsvFormatError are ValueErrors, so their rows come before the usage row
+_EXIT_CODES = (
+    ((SignalTooShortError, NumericalError), EXIT_NUMERIC),
+    ((OSError, CsvFormatError), EXIT_IO),
+    ((ValueError, TypeError, OverflowError), EXIT_USAGE),
+)
+_MAPPED = tuple(t for types, _ in _EXIT_CODES for t in types)
 
 
 def _float_list(text: str) -> list[float]:
@@ -132,62 +136,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_sample_rate(flag_value: float | None, input_path: str) -> float:
-    if flag_value is not None:
-        if not (math.isfinite(flag_value) and flag_value > 0):
-            raise _CliError(EXIT_USAGE, "--sample-rate must be finite and positive")
-        return flag_value
-    rate = read_sample_rate_sidecar(input_path)
+def _load_series(path: str, rate: float | None):
     if rate is None:
-        raise _CliError(
-            EXIT_USAGE,
-            f"no --sample-rate given and no usable sidecar {Path(input_path).with_suffix('.json')}",
-        )
-    return rate
-
-
-def _load_series(path: str, sample_rate: float | None):
-    rate = _resolve_sample_rate(sample_rate, path)
-    try:
-        x = read_timeseries_csv(path, rate)
-    except FileNotFoundError:
-        raise _CliError(EXIT_IO, f"input file not found: {path}")
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    except CsvFormatError as exc:
-        raise _CliError(EXIT_IO, f"{path}: {exc}")
+        rate = read_sample_rate_sidecar(path)
+        if rate is None:
+            raise ValueError(f"no --sample-rate given and no usable sidecar "
+                             f"{Path(path).with_suffix('.json')}")
+    elif not (math.isfinite(rate) and rate > 0):
+        raise ValueError("--sample-rate must be finite and positive")
+    x = read_timeseries_csv(path, rate)
     # 1 / rate or N / rate past the float64 range: every bin would read 0 Hz
     if not (np.diff(np.fft.rfftfreq(len(x), 1.0 / rate)) > 0).all():
-        raise _CliError(EXIT_USAGE, f"sample rate {rate:g} Hz collapses the frequency grid "
-                                    f"of {len(x)} samples")
+        raise ValueError(f"sample rate {rate:g} Hz collapses the frequency grid "
+                         f"of {len(x)} samples")
     return x
 
 
 def _cmd_decompose(args) -> int:
     # the config first, so a bad flag exits 2 ahead of a missing file's 3
-    try:
-        config = DecompositionConfig(
-            n_modes=args.modes,
-            merge_threshold=args.theta,
-            alpha=args.alpha,
-            diff_order=args.order,
-            similarity=args.measure,
-            K_override=args.embedding_dim,
-            shrinkage=args.shrinkage,
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    x = _load_series(args.input, args.sample_rate)
-    try:
-        ms = rmd_decompose(x, config)
-    except (SignalTooShortError, NumericalError) as exc:
-        raise _CliError(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:  # past the config, only -K above N - 1 raises it
-        raise _CliError(EXIT_USAGE, str(exc))
-    try:
-        write_modeset(ms, args.out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    config = DecompositionConfig(
+        n_modes=args.modes,
+        merge_threshold=args.theta,
+        alpha=args.alpha,
+        diff_order=args.order,
+        similarity=args.measure,
+        K_override=args.embedding_dim,
+        shrinkage=args.shrinkage,
+    )
+    ms = rmd_decompose(_load_series(args.input, args.sample_rate), config)
+    write_modeset(ms, args.out)
     for i, entry in enumerate(ms.report, start=1):
         peak = "none" if entry.peak_frequency_hz is None else f"{entry.peak_frequency_hz:.4g} Hz"
         print(f"mode {i:02d}: gamma={entry.gamma:.6g} mu={entry.mu:.6g} peak={peak}")
@@ -203,37 +180,27 @@ def _write_signal_with_sidecar(series, path: Path) -> None:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        if args.kind == "sine3":
-            phases = args.phases or [0.0] * len(args.freqs)
-            if not (len(args.freqs) == len(args.amps) == len(phases)):
-                raise ValueError("--freqs, --amps and --phases must have equal length")
-            components = [
-                SineComponent(f, a, p) for f, a, p in zip(args.freqs, args.amps, phases)
-            ]
-            mixture, truths = gen_sinusoid_mixture(components, args.sample_rate, args.duration)
-        else:
-            mixture, truths = gen_am_mixture(
-                args.f1, args.f2, args.f3, args.f_mod, args.sample_rate, args.duration
-            )
-        out_signal = mixture
-        if args.snr is not None:
-            out_signal, _ = add_noise_at_snr(mixture, args.snr, args.seed)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    if args.kind == "sine3":
+        phases = args.phases or [0.0] * len(args.freqs)
+        if not (len(args.freqs) == len(args.amps) == len(phases)):
+            raise ValueError("--freqs, --amps and --phases must have equal length")
+        components = [SineComponent(f, a, p) for f, a, p in zip(args.freqs, args.amps, phases)]
+        mixture, truths = gen_sinusoid_mixture(components, args.sample_rate, args.duration)
+    else:
+        mixture, truths = gen_am_mixture(
+            args.f1, args.f2, args.f3, args.f_mod, args.sample_rate, args.duration
+        )
+    out_signal = mixture
+    if args.snr is not None:
+        out_signal, _ = add_noise_at_snr(mixture, args.snr, args.seed)
 
     out = Path(args.out)
-    try:
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        _write_signal_with_sidecar(out_signal, out)
-        if args.snr is not None:
-            for i, truth in enumerate(truths, start=1):
-                _write_signal_with_sidecar(
-                    truth, out.with_name(f"{out.stem}_truth_{i:02d}.csv")
-                )
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    if out.parent != Path(""):
+        out.parent.mkdir(parents=True, exist_ok=True)
+    _write_signal_with_sidecar(out_signal, out)
+    if args.snr is not None:
+        for i, truth in enumerate(truths, start=1):
+            _write_signal_with_sidecar(truth, out.with_name(f"{out.stem}_truth_{i:02d}.csv"))
     n_truth = len(truths) if args.snr is not None else 0
     print(f"wrote {out} ({len(out_signal)} samples at {out_signal.sample_rate:g} Hz"
           + (f", {n_truth} truth component files" if n_truth else "") + ")")
@@ -241,26 +208,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        text = Path(args.spec).read_bytes()
-    except FileNotFoundError:
-        raise _CliError(EXIT_IO, f"spec file not found: {args.spec}")
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {args.spec}: {exc}")
-    try:
-        doc = json.loads(text.decode("utf-8"))  # not UTF-8 is a ValueError too
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
-        raise _CliError(EXIT_USAGE, f"bad experiment spec: {exc}")
-    try:
-        report = bench_mod.run_experiment(bench_mod.ExperimentSpec.from_dict(doc))
-    except (OSError, CsvFormatError) as exc:  # a file spec's input
-        raise _CliError(EXIT_IO, f"cannot run spec: {exc}")
-    except (ValueError, TypeError, OverflowError) as exc:  # also a signal it cannot make
-        raise _CliError(EXIT_USAGE, f"bad experiment spec: {exc}")
-    try:
-        bench_mod.write_report(report, args.out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    try:  # not UTF-8 is a ValueError; RecursionError: nested too deep to parse
+        spec = bench_mod.ExperimentSpec.from_dict(
+            json.loads(Path(args.spec).read_text(encoding="utf-8-sig")))
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"bad experiment spec: {exc}") from exc
+    report = bench_mod.run_experiment(spec)
+    bench_mod.write_report(report, args.out)
 
     n_failed = sum(1 for c in report.cells if not c.success)
     print(f"{len(report.cells)} cell(s), {n_failed} failed; artifacts in {args.out}")
@@ -281,20 +235,15 @@ def _cmd_bench(args) -> int:
 def _cmd_spectrum(args) -> int:
     x = _load_series(args.input, args.sample_rate)
     if len(x) < MIN_SAMPLES:
-        raise _CliError(
-            EXIT_NUMERIC,
-            f"signal too short for an embedding-dimension suggestion ({len(x)} samples)",
-        )
+        raise SignalTooShortError(
+            f"signal too short for an embedding-dimension suggestion ({len(x)} samples)")
     k, peak = select_embedding_dimension(x)  # rmd decompose's K, from the scaled samples
     if peak is None:
         print(f"no dominant frequency (DC-only spectrum); suggested K={k}")
     else:
         print(f"dominant frequency: {peak:g} Hz; suggested K={k}")
     if args.out is not None:
-        try:
-            write_spectrum_csv(periodogram(x), args.out)  # the raw power
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+        write_spectrum_csv(periodogram(x), args.out)  # the raw power
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -308,13 +257,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
+    except _MAPPED as exc:
         print(f"rmd {args.command}: {exc}", file=sys.stderr)
-        return exc.code
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

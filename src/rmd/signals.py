@@ -320,24 +320,25 @@ def _parse_rows(rows: list[str], ncols: int) -> np.ndarray | None:
     return table.reshape(-1, ncols) if np.isfinite(table).all() else None
 
 
-def _raise_at_bad_line(lines: list[str], skip: int, ncols: int) -> NoReturn:
-    """Raise the ``CsvFormatError`` naming the first malformed data line:
-    the non-blank lines of ``lines`` after the first ``skip``, 1-based."""
+def _raise_at_bad_line(path: Path, lines: list[str], skip: int, ncols: int) -> NoReturn:
+    """Raise the ``CsvFormatError`` naming ``path`` and its first malformed data
+    line: the non-blank lines of ``lines`` after the first ``skip``, 1-based."""
     numbered = [(n, line) for n, line in enumerate(map(str.strip, lines), start=1) if line]
     for lineno, line in numbered[skip:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != ncols or ncols not in (1, 2):
             expected = f"{ncols} column(s)" if ncols in (1, 2) else "1 or 2 columns"
-            raise CsvFormatError(f"line {lineno}: expected {expected}, got {len(fields)}")
+            raise CsvFormatError(f"{path}: line {lineno}: expected {expected}, "
+                                 f"got {len(fields)}")
         for token in fields:
             try:
                 value = float(token)
             except ValueError:
                 raise CsvFormatError(
-                    f"line {lineno}: cannot parse {token!r} as a number"
+                    f"{path}: line {lineno}: cannot parse {token!r} as a number"
                 ) from None
             if not math.isfinite(value):
-                raise CsvFormatError(f"line {lineno}: non-finite value {token!r}")
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite value {token!r}")
     raise AssertionError("no malformed line to report")
 
 
@@ -352,7 +353,7 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     CsvFormatError
         On unparsable or non-finite values (with the offending line number),
         inconsistent column counts, non-uniform time spacing, text that is not
-        UTF-8, or an empty file.
+        UTF-8, or an empty file; every message starts with the path.
     OSError
         If the file cannot be read.
     """
@@ -379,7 +380,7 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     ncols = rows[0].count(",") + 1
     table = _parse_rows(rows, ncols)
     if table is None:
-        _raise_at_bad_line(lines, skip, ncols)
+        _raise_at_bad_line(path, lines, skip, ncols)
 
     if len(table) < 2:
         raise CsvFormatError(f"{path}: need at least 2 samples, got {len(table)}")

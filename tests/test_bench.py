@@ -19,7 +19,7 @@ from rmd.bench import (
 )
 from rmd.eigen import gram, solve_generalized
 from rmd.embedding import build_trajectory_matrix
-from rmd.modes import DecompositionConfig, cluster_and_merge
+from rmd.modes import PAIRS_PER_MODE, DecompositionConfig, cluster_and_merge, rmd_decompose
 from rmd.signals import (
     CsvFormatError,
     SineComponent,
@@ -114,6 +114,13 @@ class TestSineExperiment:
                 assert s.matched
                 assert s.correlation >= 0.99
                 assert s.within_peak_tol
+
+    def test_zero_peak_tolerance_accepts_an_exact_peak(self):
+        # a near-noiseless 5 Hz tone on the 0.1 Hz grid peaks in its own bin
+        spec = sine_spec(frequencies_hz=(5.0,), amplitudes=(1.0,), seeds=(0,),
+                         configs=(DecompositionConfig(alpha=0.3, n_modes=1),), peak_tol_hz=0.0)
+        [score] = run_experiment(spec).cells[0].scores
+        assert score.peak_freq_hz == 5.0 and score.within_peak_tol is True
 
     def test_matching_is_injective(self):
         report = run_experiment(sine_spec(snr_db=(-15.0,), seeds=(0,)))
@@ -406,14 +413,14 @@ class TestReportArtifacts:
 
 
 class TestTruncatedBasisOnBundledSpecs:
-    """rmd_decompose clusters only the top 8 * n_modes eigenpairs.  On every cell
-    of the bundled specs that must give the clusters the full basis gives."""
+    """rmd_decompose clusters only the top PAIRS_PER_MODE * n_modes eigenpairs.  On
+    every cell of the bundled specs that must give the clusters the full basis gives."""
 
     @staticmethod
-    def members(xs, config, K, n_pairs):
+    def clusters(xs, config, K, n_pairs):
         tm = build_trajectory_matrix(xs, K)
         basis = solve_generalized(gram(tm), config.alpha, config.diff_order, n_pairs=n_pairs)
-        return [c.member_indices for c in cluster_and_merge(basis, config)[0]]
+        return cluster_and_merge(basis, config)[0]
 
     @pytest.mark.parametrize("name", ["sine_snr.json", "nonlinear.json"])
     def test_cluster_members_match_full_basis(self, name):
@@ -426,8 +433,15 @@ class TestTruncatedBasisOnBundledSpecs:
                 noisy, _ = add_noise_at_snr(clean, snr, seed)
                 xs = noisy.with_samples(unit_scaled(noisy.samples)[0])
                 for config in spec.configs:
-                    full = self.members(xs, config, spec.embedding_dim, None)
-                    top = self.members(xs, config, spec.embedding_dim, 8 * config.n_modes)
-                    assert top == full, (snr, seed, config)
+                    full = self.clusters(xs, config, spec.embedding_dim, None)
+                    top = self.clusters(xs, config, spec.embedding_dim,
+                                        PAIRS_PER_MODE * config.n_modes)
+                    assert ([c.member_indices for c in top]
+                            == [c.member_indices for c in full]), (snr, seed, config)
+                    # rmd_decompose's modes are these clusters, by descending gamma
+                    sizes = [len(c.member_indices)
+                             for c in sorted(top, key=lambda c: -c.gamma_total)]
+                    ms = rmd_decompose(noisy, config)
+                    assert [e.members for e in ms.report] == sizes, (snr, seed, config)
                     cells += 1
         assert cells == len(spec.snr_db) * len(spec.seeds) * len(spec.configs)

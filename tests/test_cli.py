@@ -199,6 +199,16 @@ class TestDecompose:
         assert code == 3
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "value\n1.0\nfoo\n"], ids=["empty", "bad-line"])
+    def test_format_error_names_the_path_once(self, tmp_path, capsys, text):
+        path = tmp_path / "sig.csv"
+        path.write_text(text)
+        code = run_cli("decompose", str(path), "--sample-rate", "10", "-r", "1",
+                       "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"rmd decompose: {path}: ") and err.count(str(path)) == 1
+
     def test_negative_alpha_exits_2(self, tone_file, tmp_path, capsys):
         code = run_cli(
             "decompose", str(tone_file), "-r", "1", "--alpha", "-1",
@@ -246,18 +256,14 @@ class TestDecompose:
         assert code in (0, 4)
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("check", ["_verify_completeness"])
-    def test_failed_internal_check_exits_4(self, tone_file, tmp_path, capsys, monkeypatch,
-                                           check):
-        import rmd.modes as modes
-
-        real = getattr(modes, check)
-        # the real check, handed a bound that no decomposition meets
-        monkeypatch.setattr(modes, check, lambda x, ms, res: real(x, ms, res, rel_tol=-1.0))
-        code = run_cli("decompose", str(tone_file), "-r", "1", "--out", str(tmp_path / "o"))
+    def test_failed_internal_check_exits_4(self, tone_file, tmp_path, capsys):
+        # alpha * 4**(K - 1) overflows, so the solver's own check raises NumericalError
+        code = run_cli("decompose", str(tone_file), "-r", "1", "--alpha", "1e308",
+                       "--out", str(tmp_path / "o"))
         assert code == 4
         err = capsys.readouterr().err
-        assert "violated" in err and "Traceback" not in err
+        assert "M = I + alpha R overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_huge_amplitude_decomposes(self, tmp_path, capsys):
         # decomposition is scale-equivariant: a 1e200 tone peaks where the unit tone does
@@ -416,6 +422,14 @@ class TestBench:
         assert "2 cell(s), 0 failed" in stdout
         assert "order  modes  shrink  true_hz" in stdout  # the aggregate key's config columns
 
+    def test_spec_with_byte_order_mark_runs(self, tmp_path, capsys):
+        doc = {"generator": "sine-mixture", "snr_db": [60.0], "seeds": [0],
+               "duration_s": 1.0, "embedding_dim": 20, "configs": [{"alpha": 0.3}]}
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 0
+        assert "1 cell(s), 0 failed" in capsys.readouterr().out
+
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         doc = {
             "generator": "sine-mixture",
@@ -477,6 +491,23 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "at most" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"sample_rate_hz": "100"},
+        {"duration_s": None},
+        {"amplitudes": ["1", "2", "3"]},
+        {"generator": "am-mixture", "f1_hz": None},
+        {"generator": "file", "input_path": 5},
+    ])
+    def test_wrongly_typed_signal_field_exits_2(self, tmp_path, capsys, fields):
+        # the spec reads these fields as given; making the signal raises TypeError
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "configs": [{"alpha": 1.0}], **fields}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("rmd bench: ")
         assert not (tmp_path / "o").exists()
 
     def test_missing_spec_exits_3(self, tmp_path):

@@ -324,6 +324,13 @@ class TestSolveGeneralized:
         basis = solve_for(G, alpha=0.0)
         assert basis.negligible.tolist() == [False, True, True]
 
+    def test_eigen_floor_boundary(self):
+        # at alpha = 0, M = I and the gammas of a diagonal G are exact: a gamma 1e-10
+        # of the largest is kept, one 1e-13 of it falls below EIGEN_FLOOR
+        basis = solve_for(np.diag([1.0, 1e-10, 1e-13]), alpha=0.0)
+        assert basis.gammas.tolist() == [1.0, 1e-10, 1e-13]
+        assert basis.negligible.tolist() == [False, False, True]
+
     def test_shrink_weights(self, rng):
         G = random_psd(rng, 8)
         basis = solve_for(G, alpha=2.0)

@@ -233,6 +233,14 @@ class TestClusterAndMerge:
         # zero weights: the members' plain mean
         assert clusters[0].mu == pytest.approx(mu.mean(), rel=1e-15) and clusters[0].mu > 0
 
+    def test_similarity_equal_to_the_threshold_does_not_merge(self):
+        # a vector joins a cluster only when its similarity exceeds the threshold
+        basis = make_basis([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]], [2.0, 1.0])
+        assert similarity(basis.vectors, "cosine")[0, 1] == 0.6
+        cfg = DecompositionConfig(n_modes=2, similarity="cosine", merge_threshold=0.6)
+        clusters, _ = cluster_and_merge(basis, cfg)
+        assert [c.member_indices for c in clusters] == [(0,), (1,)]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reports_ignore_the_basis_within_degenerate_pairs(self, seed):
         # An exact 2 + 5 Hz pair at 200 Hz, with L = 2000 and K = 200 multiples of
@@ -578,6 +586,31 @@ class TestRmdDecompose:
         x = TimeSeries(np.arange(20, dtype=float), 1.0)
         with pytest.raises(ValueError):
             rmd_decompose(x, DecompositionConfig(n_modes=1, K_override=20))
+
+
+class TestLargeAlphaOracle:
+    """As alpha grows, the leading eigenvectors tend to the null space of D: the
+    constants for order 1, constants and ramps for order 2.  The leading mode(s)
+    then tend to the diagonal average of X Q Q^T, with Q an orthonormal basis of
+    that null space, and their distance falls as 1 / alpha."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_leading_modes_tend_to_the_null_space_projection(self, order):
+        # trend + tone + noise; at alpha = 1e8 the error reads 2.1e-7 (order 1) and
+        # 3.6e-7 (order 2) of max|x|
+        n, K = 600, 60
+        t = np.arange(n) / 100.0
+        noise = np.random.default_rng(0).standard_normal(n)
+        x = TimeSeries(2.0 * t + np.sin(2 * np.pi * 10.0 * t) + 0.2 * noise, 100.0)
+        # theta above 1 keeps each null-space vector a mode of its own
+        cfg = DecompositionConfig(n_modes=order, merge_threshold=1.01, alpha=1e8,
+                                  diff_order=order, K_override=K)
+        ms = rmd_decompose(x, cfg)
+        Q, _ = np.linalg.qr(np.vander(np.arange(K, dtype=float), order, increasing=True))
+        X = build_trajectory_matrix(x, K)
+        oracle = oracle_diagonal_average(X @ Q @ Q.T)
+        leading = sum(m.samples for m in ms.modes[:order])
+        assert np.abs(leading - oracle).max() <= 1e-6 * np.abs(x.samples).max()
 
 
 def solve_basis(x, K, alpha, order, n_pairs=None):

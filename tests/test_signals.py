@@ -459,9 +459,10 @@ def reference_read_csv(path, sample_rate_hz):
         try:
             v = float(token)
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: cannot parse {token!r} as a number") from None
+            raise CsvFormatError(f"{path}: line {lineno}: cannot parse {token!r} as a number"
+                                 ) from None
         if not math.isfinite(v):
-            raise CsvFormatError(f"line {lineno}: non-finite value {token!r}")
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value {token!r}")
         return v
 
     path = Path(path)
@@ -485,11 +486,12 @@ def reference_read_csv(path, sample_rate_hz):
             raise CsvFormatError(f"{path}: no data rows after header")
     ncols = len(rows[0][1])
     if ncols not in (1, 2):
-        raise CsvFormatError(f"line {rows[0][0]}: expected 1 or 2 columns, got {ncols}")
+        raise CsvFormatError(f"{path}: line {rows[0][0]}: expected 1 or 2 columns, got {ncols}")
     times, values = [], []
     for lineno, fields in rows:
         if len(fields) != ncols:
-            raise CsvFormatError(f"line {lineno}: expected {ncols} column(s), got {len(fields)}")
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected {ncols} column(s), got {len(fields)}")
         if ncols == 2:
             times.append(parse(fields[0], lineno))
             values.append(parse(fields[1], lineno))
@@ -576,7 +578,7 @@ class TestBulkCsvIo:
         p.write_text(text, encoding="utf-8")
         with pytest.raises(CsvFormatError) as exc:
             read_timeseries_csv(p, 10.0)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{p}: {message}"
 
     def test_writer_bytes(self, tmp_path):
         values = [-0.0, 5e-324, 1e308, 3.0, 0.1 + 0.2, -1.5e-7]
