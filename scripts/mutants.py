@@ -56,6 +56,15 @@ MUTANTS = [
      "test_embedding.py"),
     ("noise amplitude from 20 dB per decade", "signals.py",
      "power / 10.0 ** (snr_db / 10.0)", "power / 10.0 ** (snr_db / 20.0)", "test_signals.py"),
+    # the one type rule for values read from outside
+    ("a bool passes as a number", "signals.py",
+     'kind in ("integer", "number") and isinstance(value, bool)',
+     'kind == "integer" and isinstance(value, bool)', "test_modes.py"),
+    ("shrinkage unchecked", "modes.py",
+     '        checked("shrinkage", self.shrinkage, "flag")\n', "", "test_modes.py"),
+    ("input_path of any type", "bench.py",
+     "elif not isinstance(self.input_path, str) or not self.input_path:",
+     "elif not self.input_path:", "test_bench.py"),
     # the CLI's exit-code table
     ("I/O and usage rows swapped", "cli.py",
      "    ((OSError, CsvFormatError), EXIT_IO),\n"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextvars
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +22,7 @@ from .signals import (
     SineComponent,
     TimeSeries,
     add_noise_at_snr,
+    checked,
     dominant_frequency,
     gen_am_mixture,
     gen_sinusoid_mixture,
@@ -65,19 +65,16 @@ def _config_from_dict(doc: dict) -> DecompositionConfig:
     return DecompositionConfig(**{"n_modes": 3, **{SPEC_CONFIG_KEYS[k]: v for k, v in doc.items()}})
 
 
-def _snr(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"snr_db values must be numbers, got {v!r}")
-    return float(v)
+def _listed(name: str, values, item=lambda key, v: checked(key, v, "number")) -> tuple:
+    """The list field ``name`` as a tuple, each value checked by ``item`` as ``name[i]``."""
+    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(checked(name, values, "list")))
 
 
-def _seed(v) -> int:
-    # an integral float such as 3.0 names seed 3; 1.5 or true names no seed
-    if isinstance(v, bool) or not (
-        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-    ):
-        raise ValueError(f"seeds must be integers, got {v!r}")
-    return int(v)
+def _seed(name: str, v) -> int:
+    # beyond the integer rule, an integral float (3.0) or a numpy integer names a seed
+    if isinstance(v, np.integer) or isinstance(v, float) and v.is_integer():
+        return int(v)
+    return checked(name, v, "integer")
 
 
 @dataclass(frozen=True)
@@ -113,17 +110,19 @@ class ExperimentSpec:
     peak_tol_hz: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db", tuple(_snr(s) for s in self.snr_db))
-        object.__setattr__(self, "seeds", tuple(_seed(s) for s in self.seeds))
+        object.__setattr__(self, "snr_db", tuple(map(float, _listed("snr_db", self.snr_db))))
+        object.__setattr__(self, "seeds", _listed("seeds", self.seeds, _seed))
         try:
             object.__setattr__(self, "configs", tuple(
                 replace(c, K_override=self.embedding_dim) for c in self.configs))
         except ValueError as exc:  # name the spec's key, not the config field it sets
             raise ValueError(str(exc).replace("K_override", "embedding_dim")) from None
-        object.__setattr__(self, "frequencies_hz", tuple(self.frequencies_hz))
-        object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
+        object.__setattr__(self, "frequencies_hz", _listed("frequencies_hz", self.frequencies_hz))
+        object.__setattr__(self, "amplitudes", _listed("amplitudes", self.amplitudes))
         if self.phases is not None:
-            object.__setattr__(self, "phases", tuple(self.phases))
+            object.__setattr__(self, "phases", _listed("phases", self.phases))
+        for name in ("sample_rate_hz", "duration_s", "f1_hz", "f2_hz", "f3_hz", "f_mod_hz"):
+            checked(name, getattr(self, name), "number")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if not self.configs:
@@ -131,30 +130,26 @@ class ExperimentSpec:
         if self.generator != "file":
             if not self.snr_db or not self.seeds:
                 raise ValueError("synthetic runs need non-empty snr_db and seeds lists")
-        else:
-            if not self.input_path:
-                raise ValueError("file runs need input_path")
+        elif not isinstance(self.input_path, str) or not self.input_path:
+            raise ValueError(f"file runs need input_path as a string, got {self.input_path!r}")
         if self.generator == "sine-mixture" and not (
             len(self.frequencies_hz) == len(self.amplitudes)
             == len(self.phases or self.frequencies_hz)
         ):
             raise ValueError("frequencies_hz, amplitudes and phases must have equal length")
-        tol = self.peak_tol_hz
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
-            raise ValueError(f"peak_tol_hz must be a finite number >= 0, got {tol!r}")
+        if not 0 <= checked("peak_tol_hz", self.peak_tol_hz, "number") < np.inf:
+            raise ValueError(f"peak_tol_hz must be a finite number >= 0, got {self.peak_tol_hz!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
         """Build a spec from parsed JSON: the spec's fields, with ``configs`` a
         list of dicts of the ``SPEC_CONFIG_KEYS``.  A missing ``configs``, an
-        unknown key or an out-of-range value raises ValueError (or TypeError,
-        for a value of the wrong type).
+        unknown config key, or a value of the wrong type or out of range raises
+        ValueError; an unknown spec key or a config that is not an object, TypeError.
         """
         doc = dict(doc)
-        if "configs" not in doc:
-            raise ValueError("spec needs a 'configs' list")
-        configs = tuple(_config_from_dict(c) for c in doc.pop("configs"))
-        return ExperimentSpec(configs=configs, **doc)
+        configs = checked("configs", doc.pop("configs", None), "list")
+        return ExperimentSpec(configs=tuple(map(_config_from_dict, configs)), **doc)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -317,9 +312,9 @@ def _score_cell(
     ms: ModeSet,
     truths: list[TimeSeries],
     profile: tuple[list[float | None], np.ndarray],
-) -> tuple[tuple[float | None, ...], tuple[ComponentScore, ...]]:
-    """Mode peaks and one score per truth; the matched (mode, truth) pairs are
-    scored in one ``score_rows`` pass, whose power rows give the AM sidebands."""
+) -> tuple[ComponentScore, ...]:
+    """One score per truth; the matched (mode, truth) pairs are scored in one
+    ``score_rows`` pass, whose power rows give the AM sidebands."""
     assignment = match_modes_to_truths(ms, *profile)
     matched = sorted(assignment)
     if matched:
@@ -343,7 +338,7 @@ def _score_cell(
                              if m.peak_frequency is not None else False),
             sidebands_present=sidebands,
         ))
-    return tuple(e.peak_frequency_hz for e in ms.report), tuple(scores)
+    return tuple(scores)
 
 
 def _band_label(peak: float | None) -> str:
@@ -402,25 +397,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     else:
         draws = [(snr, seed, add_noise_at_snr(clean, snr, seed)[0])
                  for snr in spec.snr_db for seed in spec.seeds]
-        try:
-            profile = _truth_profile(truths)
-        except Exception as exc:  # recorded in every cell that reaches scoring
-            profile = f"{type(exc).__name__}: {exc}"
+        profile = _truth_profile(truths)
 
     def run_cell(snr: float | None, seed: int | None, x: TimeSeries,
                  config: DecompositionConfig) -> CellResult:
         t0 = time.perf_counter()
         try:
             ms = rmd_decompose(x, config)
+            peaks = tuple(e.peak_frequency_hz for e in ms.report)
             if truths is None:
-                peaks = tuple(e.peak_frequency_hz for e in ms.report)
-                outcome = dict(mode_peaks_hz=peaks, success=True, error=None,
-                               band_labels=tuple(_band_label(p) for p in peaks))
-            elif isinstance(profile, str):  # making the truths' profile failed
-                outcome = dict(success=False, error=profile)
+                outcome = dict(band_labels=tuple(_band_label(p) for p in peaks))
             else:
-                peaks, scores = _score_cell(spec, ms, truths, profile)
-                outcome = dict(mode_peaks_hz=peaks, scores=scores, success=True, error=None)
+                outcome = dict(scores=_score_cell(spec, ms, truths, profile))
+            outcome.update(mode_peaks_hz=peaks, success=True, error=None)
         except Exception as exc:  # cell failures are data
             outcome = dict(success=False, error=f"{type(exc).__name__}: {exc}")
         return CellResult(
@@ -479,10 +468,8 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
             for s in cell.scores:
                 rows.append(base + (s.true_freq_hz, s.matched, s.peak_freq_hz,
                                     s.correlation, s.rmse, cell.wall_ms))
-                per_component.setdefault(s.true_freq_hz, []).append(
-                    (cell.snr_db, cell.seed, cell.alpha, cell.diff_order,
-                     s.matched, s.peak_freq_hz, s.correlation, s.rmse)
-                )
+                # the summary row without measure, true_freq_hz and wall_ms
+                per_component.setdefault(s.true_freq_hz, []).append(rows[-1][:4] + rows[-1][6:10])
         elif cell.success:
             for peak in cell.mode_peaks_hz:
                 rows.append(base + (None, None, peak, None, None, cell.wall_ms))

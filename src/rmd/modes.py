@@ -28,7 +28,8 @@ from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.mod
     solve_generalized,
 )
 from .signals import periodogram  # noqa: F401  re-exported as rmd.modes.periodogram
-from .signals import TimeSeries, periodogram_power, row_peaks, unit_scaled, write_timeseries_csv
+from .signals import TimeSeries, checked, periodogram_power, row_peaks, unit_scaled
+from .signals import write_timeseries_csv
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
@@ -61,23 +62,19 @@ class DecompositionConfig:
     shrinkage: bool = False
 
     def __post_init__(self):
-        for name in ("n_modes", "diff_order", "K_override"):
-            v = getattr(self, name)
-            if name == "K_override" and v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.n_modes < 1:
+        if checked("n_modes", self.n_modes, "integer") < 1:
             raise ValueError("n_modes must be >= 1")
-        if not 0.0 < self.merge_threshold <= 1.01:
+        if not 0.0 < checked("merge_threshold", self.merge_threshold, "number") <= 1.01:
             raise ValueError("merge_threshold must lie in (0, 1.01]")
-        if not math.isfinite(self.alpha) or self.alpha < 0:
+        if not math.isfinite(checked("alpha", self.alpha, "number")) or self.alpha < 0:
             raise ValueError("alpha must be finite and >= 0")
-        if self.diff_order not in (1, 2):
+        if checked("diff_order", self.diff_order, "integer") not in (1, 2):
             raise ValueError("diff_order must be 1 or 2")
         if self.similarity not in SIMILARITY_MEASURES:
             raise ValueError(f"unknown similarity measure {self.similarity!r}")
-        if self.K_override is not None and self.K_override < self.diff_order + 1:
+        checked("shrinkage", self.shrinkage, "flag")
+        k = self.K_override
+        if k is not None and checked("K_override", k, "integer") < self.diff_order + 1:
             raise ValueError(f"K_override must be >= {self.diff_order + 1} "
                              f"for diff_order {self.diff_order}")
 
@@ -134,10 +131,8 @@ def similarity(V: np.ndarray, measure: str) -> np.ndarray:
         P = V
     elif measure == "pearson":
         P = V - V.mean(axis=0)
-    elif measure == "spectral":
+    else:  # spectral
         P = np.abs(np.fft.rfft(V, axis=0))
-    else:
-        raise ValueError(f"unknown similarity measure {measure!r}")
     norms = np.linalg.norm(P, axis=0)
     with np.errstate(invalid="ignore"):
         S = np.abs(P.T @ P) / np.outer(norms, norms)

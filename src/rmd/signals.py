@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -18,6 +19,20 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """Raised when a signal CSV file cannot be parsed."""
+
+
+# each kind of value read from outside: the types it admits, and the words that name it
+_KINDS = {"integer": (int, "an integer"), "number": (numbers.Real, "a number"),
+          "flag": (bool, "true or false"), "list": ((list, tuple), "a list")}
+
+
+def checked(name: str, value, kind: str):
+    """``value`` if it is of ``kind``, one of ``_KINDS``, else a ValueError that
+    names ``name``.  A bool is a flag only, never an integer or a number."""
+    types, noun = _KINDS[kind]
+    if not isinstance(value, types) or kind in ("integer", "number") and isinstance(value, bool):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -43,7 +58,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen(np.atleast_1d(self.samples)))
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        rate = float(checked("sample_rate", self.sample_rate, "number"))
+        object.__setattr__(self, "sample_rate", rate)
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
@@ -418,7 +434,7 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
         return None
     try:
         doc = json.loads(p.read_text(encoding="utf-8-sig"))
-        rate = float(doc["sample_rate_hz"])
+        rate = float(checked("sample_rate_hz", doc["sample_rate_hz"], "number"))
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
     return rate if math.isfinite(rate) and rate > 0 else None

@@ -16,8 +16,11 @@ from signal_families import hostile_valid_samples
 
 import rmd
 from rmd.cli import _build_parser, main
+from rmd.eigen import NumericalError
+from rmd.embedding import SignalTooShortError
 from rmd.modes import SIMILARITY_MEASURES
 from rmd.signals import (
+    CsvFormatError,
     SineComponent,
     TimeSeries,
     add_noise_at_snr,
@@ -499,15 +502,31 @@ class TestBench:
         {"amplitudes": ["1", "2", "3"]},
         {"generator": "am-mixture", "f1_hz": None},
         {"generator": "file", "input_path": 5},
+        {"configs": 5},
+        {"snr_db": 5},
+        {"phases": ["0"]},
     ])
     def test_wrongly_typed_signal_field_exits_2(self, tmp_path, capsys, fields):
-        # the spec reads these fields as given; making the signal raises TypeError
+        # the spec checks each field's type when it is read, and names the key at fault
         doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
                "configs": [{"alpha": 1.0}], **fields}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
-        assert capsys.readouterr().err.startswith("rmd bench: ")
+        err = capsys.readouterr().err
+        assert err.startswith("rmd bench: ")
+        assert next(key for key in fields if key != "generator") in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("shrinkage", ["false", 1, 0, None])
+    def test_shrinkage_that_is_not_true_or_false_exits_2(self, tmp_path, capsys, shrinkage):
+        # "false" once ran with shrinkage on, and 0 and 1 as off and on
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "configs": [{"alpha": 1.0, "shrinkage": shrinkage}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "shrinkage" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_spec_exits_3(self, tmp_path):
@@ -687,6 +706,21 @@ _contract = settings(max_examples=60, deadline=None,
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("error, code", [
+        (NumericalError("e"), 4), (SignalTooShortError("e"), 4), (CsvFormatError("e"), 3),
+        (FileNotFoundError("e"), 3), (ValueError("e"), 2), (TypeError("e"), 2),
+        (OverflowError("e"), 2),
+    ])
+    def test_each_row_of_the_table(self, monkeypatch, capsys, error, code):
+        # every row, also those no known input reaches: the spec's type rule
+        # leaves no TypeError to the usage row
+        def fail(args):
+            raise error
+
+        monkeypatch.setitem(rmd.cli._COMMANDS, "spectrum", fail)
+        assert main(["spectrum", "in.csv"]) == code
+        assert capsys.readouterr().err == "rmd spectrum: e\n"
+
     @_contract
     @given(flags=_valid_flags, body=_valid_body, sidecar=_rate_doc, fault=_fault)
     # an impulse at K=2 gives the eigenvector [1, 1] / sqrt(2), whose pearson

@@ -97,6 +97,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DecompositionConfig(**{"n_modes": 3, field: value})
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("alpha", True, "a number"), ("merge_threshold", True, "a number"),
+        ("alpha", "1", "a number"), ("merge_threshold", None, "a number"),
+        ("shrinkage", "false", "true or false"), ("shrinkage", 1, "true or false"),
+        ("shrinkage", None, "true or false"),
+    ])
+    def test_values_of_the_wrong_type_rejected(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}"):
+            DecompositionConfig(**{"n_modes": 3, field: value})
+
 
 def pair_similarity(a, b, measure, scale):
     """One pair's similarity from the definitions, the reference for the matrix;

@@ -43,6 +43,11 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0, 2.0], math.inf)
 
+    @pytest.mark.parametrize("rate", [True, "100", None, [100.0]])
+    def test_sample_rate_must_be_a_number(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be a number"):
+            TimeSeries([1.0, 2.0], rate)
+
     def test_samples_read_only(self):
         x = TimeSeries([1.0, 2.0, 3.0], 10.0)
         with pytest.raises(ValueError):
@@ -435,6 +440,12 @@ class TestCsvRoundTrip:
         csv = tmp_path / "sig.csv"
         csv.with_suffix(".json").write_bytes(b'\xef\xbb\xbf{"sample_rate_hz": 250.0}\n')
         assert read_sample_rate_sidecar(csv) == 250.0
+
+    @pytest.mark.parametrize("rate", ["true", '"250"', "null"])
+    def test_sidecar_rate_that_is_not_a_number_is_unusable(self, tmp_path, rate):
+        csv = tmp_path / "sig.csv"
+        csv.with_suffix(".json").write_text(f'{{"sample_rate_hz": {rate}}}\n')
+        assert read_sample_rate_sidecar(csv) is None
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "sig.csv"
