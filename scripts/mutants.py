@@ -56,6 +56,16 @@ MUTANTS = [
      "test_embedding.py"),
     ("noise amplitude from 20 dB per decade", "signals.py",
      "power / 10.0 ** (snr_db / 10.0)", "power / 10.0 ** (snr_db / 20.0)", "test_signals.py"),
+    # the LAPACK calls through scipy's cython_lapack
+    # info != 0 -> info > 0 for one routine at a time
+    *((f"{routine}: negative info passes", "eigen.py", "    if info.value != 0:",
+       f"    if info.value > 0 or info.value and routine != {routine!r}:", "test_eigen.py")
+      for routine in ("dpbtrf", "dtbtrs", "dsyevr")),
+    ("cython_lapack in sys.modules not reused", "eigen.py",
+     "    module = sys.modules.get(name)\n", "    module = None\n", "test_eigen.py"),
+    ("capsule signatures unchecked", "eigen.py",
+     "        if signature != f\"void (", "        if False and signature != f\"void (",
+     "test_eigen.py"),
     # the one type rule for values read from outside
     ("a bool passes as a number", "signals.py",
      'kind in ("integer", "number") and isinstance(value, bool)',
@@ -65,6 +75,11 @@ MUTANTS = [
     ("input_path of any type", "bench.py",
      "elif not isinstance(self.input_path, str) or not self.input_path:",
      "elif not self.input_path:", "test_bench.py"),
+    ("a whole number past the float64 range passes", "signals.py",
+     "isinstance(value, int) and abs(value) > sys.float_info.max",
+     "isinstance(value, int) and False", "test_cli.py"),
+    ("non-finite snr_db accepted", "bench.py",
+     "            if not np.isfinite(snr):", "            if False:", "test_cli.py"),
     # the CLI's exit-code table
     ("I/O and usage rows swapped", "cli.py",
      "    ((OSError, CsvFormatError), EXIT_IO),\n"

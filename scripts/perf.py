@@ -12,6 +12,8 @@ Cases:
                at 100 Hz, with its sample-rate sidecar
   cli_file_read   read_timeseries_csv of that file
   cli_file_write  write_modeset of its decomposition (mode and residual CSVs, JSON)
+  cold_cli     the same decompose as cli_file, as a fresh `python -m rmd`
+               process: interpreter start-up and `import rmd` included
 
 It times whichever ``rmd`` package the interpreter imports, so the same script
 measures any checkout:
@@ -23,7 +25,8 @@ Each call appends one run (label, BLAS vendor, thread setting, core count and
 per-case median, quartiles and sample count, in ms) to the ``runs`` list of
 the output file, creating it if needed.  Each case also records
 ``peak_alloc_mb``, the ``tracemalloc`` peak of one extra untimed run (NumPy
-reports its array buffers to tracemalloc).  BLAS is pinned to one thread
+reports its array buffers to tracemalloc); it is null for cold_cli, whose
+work is done in the child process.  BLAS is pinned to one thread
 unless OPENBLAS_NUM_THREADS is already set.
 """
 
@@ -34,6 +37,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -90,6 +94,17 @@ def _cases(out: Path):
             if main(argv) != 0:
                 raise RuntimeError(f"rmd {' '.join(argv)} failed")
 
+    # the child imports the same rmd as this interpreter
+    import rmd
+
+    src = str(Path(rmd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def cold_cli():
+        subprocess.run([sys.executable, "-m", "rmd", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=120)
+
     return {
         "minus5db": (lambda: rmd_decompose(m5, cfg5), 15),
         "minus15db": (lambda: rmd_decompose(m15, cfg15), 15),
@@ -99,6 +114,7 @@ def _cases(out: Path):
         "cli_file": (cli_file, 25),
         "cli_file_read": (lambda: read_timeseries_csv(csv, 100.0), 25),
         "cli_file_write": (lambda: write_modeset(modeset, out / "cli_file_write"), 25),
+        "cold_cli": (cold_cli, 7),
     }
 
 
@@ -127,15 +143,16 @@ def measure() -> dict:
                 run()
                 times.append((time.perf_counter() - t0) * 1e3)
             q1, med, q3 = np.percentile(times, [25, 50, 75])
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = None
+            if name != "cold_cli":
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+                finally:
+                    tracemalloc.stop()
             cases[name] = {"median_ms": round(float(med), 2), "q1_ms": round(float(q1), 2),
-                           "q3_ms": round(float(q3), 2), "n": repeats,
-                           "peak_alloc_mb": round(peak / 1e6, 2)}
+                           "q3_ms": round(float(q3), 2), "n": repeats, "peak_alloc_mb": peak}
     return {
         "blas": _blas(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],

@@ -111,6 +111,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(map(float, _listed("snr_db", self.snr_db))))
+        for i, snr in enumerate(self.snr_db):
+            if not np.isfinite(snr):
+                raise ValueError(f"snr_db[{i}] must be finite, got {snr!r}")
         object.__setattr__(self, "seeds", _listed("seeds", self.seeds, _seed))
         try:
             object.__setattr__(self, "configs", tuple(

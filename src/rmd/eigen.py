@@ -5,24 +5,31 @@ The decomposition rests on the symmetric-definite generalized eigenproblem
 R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
 No K x K copy of D, R or M = I + alpha R is formed: D is built in diagonal
 storage and R and M, which are banded, in LAPACK band storage.  M is factored
-in its band (M = U^T U) and the problem reduced to the standard one
-U^-T G U^-1 y = gamma y by banded triangular solves; G, the first solve's
-result and that matrix are the only K x K arrays.  One symmetric eigensolve
-returns the top m eigenpairs, held as arrays: ``rmd_decompose`` asks for
-m = min(K, 8 n_modes), since clustering reads only the leading pairs.  LAPACK
-syevr computes just those m when 8 m <= K; otherwise syevd, called through
-numpy.linalg.eigh so that it releases the GIL, computes all K and the top m
-are kept.  Either driver's tridiagonalization is the only O(K^3)
-step; G, the reduction and each ||D v||^2 cost O(K^2) or O(K m).
+in its band (M = U^T U, LAPACK dpbtrf) and the problem reduced to the standard
+one U^-T G U^-1 y = gamma y by banded triangular solves (dtbtrs); G, the first
+solve's result and that matrix are the only K x K arrays.  One symmetric
+eigensolve returns the top m eigenpairs, held as arrays: ``rmd_decompose`` asks
+for m = min(K, 8 n_modes), since clustering reads only the leading pairs.
+LAPACK dsyevr computes just those m when 8 m <= K; otherwise syevd, called
+through numpy.linalg.eigh, computes all K and the top m are kept.  Either
+driver's tridiagonalization is the only O(K^3) step; G, the reduction and each
+||D v||^2 cost O(K^2) or O(K m).
+
+dpbtrf, dtbtrs and dsyevr are scipy's, called by ctypes through the function
+pointers of scipy.linalg.cython_lapack, which is loaded without scipy.linalg's
+costly package init; a later ``import scipy.linalg`` reuses that module.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .embedding import hankel_series
 
@@ -120,12 +127,84 @@ def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
 EIGEN_FLOOR = 1e-12
 
 
-def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
-    """U^-1 B (``trans="N"``) or U^-T B (``"T"``) for U in upper band storage."""
-    X, info = sla.lapack.dtbtrs(U, B, trans=trans)
-    if info != 0:
-        raise NumericalError(f"banded triangular solve failed: LAPACK info {info}")
+# Each routine called, by its LP64 prototype: c char *, i int *, d double *
+_PROTOTYPES = {"dpbtrf": "ciidii", "dtbtrs": "ccciiididii", "dsyevr": "cccididdiididdiidiiii"}
+_TYPES = {"c": "char *", "i": "int *", "d": "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
+
+
+def _lapack_routines() -> dict:
+    """``_PROTOTYPES``'s routines as ctypes functions on the function pointers of
+    scipy.linalg.cython_lapack, from ``sys.modules`` or loaded and put there; a
+    capsule whose signature is not its routine's prototype raises ImportError."""
+    name = "scipy.linalg.cython_lapack"
+    module = sys.modules.get(name)
+    if module is None:
+        # scipy.linalg's directory, found without running its package init
+        linalg = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    signature_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    routines = {}
+    for routine, prototype in _PROTOTYPES.items():
+        capsule = module.__pyx_capi__[routine]
+        signature = signature_of(capsule)
+        if signature != f"void ({', '.join(_TYPES[t] for t in prototype)})".encode():
+            raise ImportError(f"scipy's LAPACK {routine} is not LP64: {signature.decode()}")
+        function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(prototype))
+        routines[routine] = function(pointer_of(capsule, signature))
+    return routines
+
+
+_ROUTINES = _lapack_routines()  # ctypes releases the GIL for the length of each call
+
+
+def _lapack(routine: str, failure: str, *args) -> None:
+    """Call LAPACK ``routine`` on ``args`` and info, passing an array by its data,
+    an integer or float by reference to a C int or double, anything else as it is.
+    An info other than 0 raises NumericalError, its message led by ``failure``."""
+    info = ctypes.c_int()
+    _ROUTINES[routine](*[a.ctypes.data if isinstance(a, np.ndarray)
+                         else ctypes.byref(ctypes.c_int(a)) if isinstance(a, (int, np.integer))
+                         else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
+                         else a for a in args], ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"{failure} failed: LAPACK {routine} info {info.value}")
+
+
+def _band_cholesky(band: np.ndarray) -> np.ndarray:
+    """U with M = U^T U, in upper band storage, for M in upper band storage."""
+    U = np.array(band, np.float64, order="F")
+    _lapack("dpbtrf", "generalized eigensolver", b"U", U.shape[1], U.shape[0] - 1, U, U.shape[0])
+    return U
+
+
+def _band_solve(U: np.ndarray, B: np.ndarray, trans: bytes = b"N") -> np.ndarray:
+    """U^-1 B (``trans=b"N"``) or U^-T B (``b"T"``) for U as ``_band_cholesky``
+    returns it; B is not written."""
+    U, X = np.asfortranarray(U, np.float64), np.array(B, np.float64, order="F")
+    _lapack("dtbtrs", "banded triangular solve", b"U", trans, b"N", U.shape[1], U.shape[0] - 1,
+            X.shape[1], U, U.shape[0], X, max(1, X.shape[0]))
     return X
+
+
+def _syevr(C: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` largest eigenvalues, ascending, and their eigenvectors of the
+    symmetric K x K C by dsyevr on its lower triangle, with the workspace dsyevr
+    asks for.  A Fortran-ordered C is overwritten."""
+    C, K, m = np.asfortranarray(C, np.float64), C.shape[0], ctypes.c_int()
+    w, Y, isuppz = np.empty(K), np.empty((K, top), order="F"), np.empty(2 * K, np.intc)
+    args = ("dsyevr", "generalized eigensolver", b"V", b"I", b"L", K, C, K, 0.0, 0.0,
+            K - top + 1, K, 0.0, ctypes.byref(m), w, Y, K, isuppz)
+    work, iwork = np.empty(1), np.empty(1, np.intc)
+    _lapack(*args, work, -1, iwork, -1)  # the workspace size query
+    work, iwork = np.empty(int(work[0])), np.empty(iwork[0], np.intc)
+    _lapack(*args, work, work.size, iwork, iwork.size)
+    return w[:m.value], Y[:, :m.value]
 
 
 def solve_generalized(
@@ -143,7 +222,7 @@ def solve_generalized(
     solves in O(K^2 order), and v = U^-1 y (Golub & Van Loan, Matrix
     Computations, 8.7); G, the first solve's result and C are the only K x K
     arrays.  With m = min(K, n_pairs), C y = gamma y is solved for its m
-    largest pairs by scipy's syevr when 8 m <= K and otherwise by syevd through
+    largest pairs by LAPACK dsyevr when 8 m <= K and otherwise by syevd through
     ``numpy.linalg.eigh``, keeping the top m of its K pairs; both return the
     same pairs, and the cheaper driver is picked.  Each vector is rescaled to
     unit Euclidean norm (reconstruction assumes v^T v = 1); columns come back
@@ -156,21 +235,15 @@ def solve_generalized(
     """
     K = G.shape[0]
     top = K if n_pairs is None else min(K, n_pairs)
-    band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
+    U = _band_cholesky(augmented(smoothing_matrix(diff_operator(order, K)), alpha))
+    # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
+    # C = U^-T (U^-T G)^T = U^-T G U^-1
+    C = _band_solve(U, _band_solve(U, G.T, b"T").T, b"T")
     try:
-        U = sla.cholesky_banded(band)
-        # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
-        # C = U^-T (U^-T G)^T = U^-T G U^-1
-        C = _band_solve(U, _band_solve(U, G.T, "T").T, "T")
+        C = np.asarray_chkfinite(C)
         # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve
-        if 8 * top <= K:
-            w, Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1],
-                            overwrite_a=True)
-        else:
-            # numpy's eigh is the same syevd, but releases the GIL, so sweep cells
-            # on other threads run while it does
-            w, Y = np.linalg.eigh(np.asarray_chkfinite(C))
-    except (sla.LinAlgError, ValueError) as exc:  # numpy's LinAlgError; ValueError: C not finite
+        w, Y = _syevr(C, top) if 8 * top <= K else np.linalg.eigh(C)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: C not finite
         raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
     idx = np.argsort(-w, kind="stable")[:top]
     w = w[idx]

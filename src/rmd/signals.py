@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -28,10 +29,13 @@ _KINDS = {"integer": (int, "an integer"), "number": (numbers.Real, "a number"),
 
 def checked(name: str, value, kind: str):
     """``value`` if it is of ``kind``, one of ``_KINDS``, else a ValueError that
-    names ``name``.  A bool is a flag only, never an integer or a number."""
+    names ``name``.  A bool is a flag only, never an integer or a number; an
+    integer past the float64 range is not a number."""
     types, noun = _KINDS[kind]
     if not isinstance(value, types) or kind in ("integer", "number") and isinstance(value, bool):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if kind == "number" and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be a number in the float64 range")
     return value
 
 

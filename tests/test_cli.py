@@ -518,6 +518,33 @@ class TestBench:
         assert next(key for key in fields if key != "generator") in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"configs": [{"alpha": 10**400}]}, "alpha"),
+        ({"snr_db": [0.0, 10**400]}, "snr_db[1]"),
+        ({"duration_s": -10**400}, "duration_s"),
+    ])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, fields, key):
+        # JSON reads 1 followed by 400 zeros as a Python int, which float() cannot hold
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0],
+               "configs": [{"alpha": 1.0}], **fields}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rmd bench: bad experiment spec: {key} ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("snr", ["1e999", "-1e999", "NaN"])
+    def test_non_finite_snr_exits_2(self, tmp_path, capsys, snr):
+        # JSON reads 1e999 as inf: every cell once ran noise-free and the command exited 0
+        path = tmp_path / "spec.json"
+        path.write_text('{"generator": "sine-mixture", "snr_db": [0.0, %s], "seeds": [0], '
+                        '"duration_s": 2.0, "configs": [{"alpha": 1.0}]}' % snr)
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "rmd bench: bad experiment spec: snr_db[1] must be finite")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("shrinkage", ["false", 1, 0, None])
     def test_shrinkage_that_is_not_true_or_false_exits_2(self, tmp_path, capsys, shrinkage):
         # "false" once ran with shrinkage on, and 0 and 1 as off and on

@@ -1,4 +1,6 @@
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmd import eigen
 from rmd.eigen import (
     EigenBasis,
     NumericalError,
@@ -392,19 +395,19 @@ class TestTruncatedSolve:
 
     @staticmethod
     def solve_spy(monkeypatch):
-        # syevr comes through scipy's eigh, syevd through numpy's
+        # syevr comes through the module's own ctypes call, syevd through numpy's eigh
         drivers = []
-        eigh, np_eigh = sla.eigh, np.linalg.eigh
+        syevr, np_eigh = eigen._syevr, np.linalg.eigh
 
         def spy(*args, **kwargs):
-            drivers.append(kwargs["driver"])
-            return eigh(*args, **kwargs)
+            drivers.append("evr")
+            return syevr(*args, **kwargs)
 
         def np_spy(*args, **kwargs):
             drivers.append("evd")
             return np_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "eigh", spy)
+        monkeypatch.setattr(eigen, "_syevr", spy)
         monkeypatch.setattr(np.linalg, "eigh", np_spy)
         return drivers
 
@@ -476,3 +479,70 @@ class TestTruncatedSolve:
         sub = EigenBasis(basis.gammas[:2], basis.vectors[:, :2], basis.mu[:2],
                          basis.negligible[:2])
         assert len(sub) == 2 and sub.vectors.shape == (6, 2)
+
+
+class TestLapackCalls:
+    """The ctypes calls to scipy's cython_lapack give scipy.linalg's f2py results
+    bit for bit; scipy.linalg is the oracle."""
+
+    @pytest.mark.parametrize("K, order", [
+        (K, order) for K in (2, 3, 9, 40, 200, 682) for order in (1, 2) if K > order])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.5, 1e6])
+    def test_bit_identical_to_scipy_linalg(self, K, order, alpha):
+        rng = np.random.default_rng(K)
+        G = random_psd(rng, K)
+        G.setflags(write=False)
+        band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
+        U = eigen._band_cholesky(band)
+        assert np.array_equal(U, sla.cholesky_banded(band))
+        H = eigen._band_solve(U, G.T, b"T")
+        assert np.array_equal(H, sla.lapack.dtbtrs(U, G.T, trans="T")[0])
+        C = eigen._band_solve(U, H.T, b"T")
+        assert np.array_equal(C, sla.lapack.dtbtrs(U, H.T, trans="T")[0])
+        for top in sorted({1, max(1, K // 8), K if K <= 200 else 1}):
+            ref_w, ref_Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1])
+            w, Y = eigen._syevr(np.array(C, order="F"), top)
+            assert np.array_equal(w, ref_w) and np.array_equal(Y, ref_Y)
+            V = eigen._band_solve(U, Y)
+            assert np.array_equal(V, sla.lapack.dtbtrs(U, Y, trans="N")[0])
+
+    def test_inputs_are_not_written(self, rng):
+        band = augmented(smoothing_matrix(diff_operator(2, 30)), 1.5)
+        B = rng.standard_normal((30, 4))
+        band_copy, B_copy = band.copy(), B.copy()
+        U = eigen._band_cholesky(band)
+        eigen._band_solve(U, B)
+        assert np.array_equal(band, band_copy) and np.array_equal(B, B_copy)
+
+    # a stand-in routine writes the info of an illegal argument: every nonzero
+    # info raises, not only the positive ones real inputs can reach
+    @pytest.mark.parametrize("routine, call, message", [
+        ("dpbtrf", lambda: eigen._band_cholesky(np.ones((2, 5))),
+         "generalized eigensolver failed: LAPACK dpbtrf info -3"),
+        ("dtbtrs", lambda: eigen._band_solve(np.ones((2, 5)), np.ones((5, 1))),
+         "banded triangular solve failed: LAPACK dtbtrs info -3"),
+        ("dsyevr", lambda: eigen._syevr(np.eye(5, order="F"), 2),
+         "generalized eigensolver failed: LAPACK dsyevr info -3"),
+    ])
+    def test_negative_info_raises(self, monkeypatch, routine, call, message):
+        monkeypatch.setitem(eigen._ROUTINES, routine,
+                            lambda *args: setattr(args[-1]._obj, "value", -3))
+        with pytest.raises(NumericalError, match=message):
+            call()
+
+    def test_singular_triangle_raises(self):
+        U = np.ones((2, 5))
+        U[1, 2] = 0.0  # a zero on U's diagonal
+        with pytest.raises(NumericalError,
+                           match="banded triangular solve failed: LAPACK dtbtrs info 3"):
+            eigen._band_solve(U, np.ones((5, 1)))
+
+    def test_loaded_module_is_reused_and_its_signatures_checked(self, monkeypatch):
+        # a module already in sys.modules is used as it is: here one whose dtbtrs
+        # capsule holds dpbtrf's prototype, which must be refused by name
+        capi = dict(sys.modules["scipy.linalg.cython_lapack"].__pyx_capi__)
+        capi["dtbtrs"] = capi["dpbtrf"]
+        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack",
+                            types.SimpleNamespace(__pyx_capi__=capi))
+        with pytest.raises(ImportError, match="dtbtrs"):
+            eigen._lapack_routines()

@@ -3,17 +3,59 @@ import subprocess
 import sys
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # only scipy.linalg belongs on the import path; the others add to startup time
-    code = (
-        "import sys, rmd; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'sparse'], ['scipy', 'signal'])))"
-    )
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout's rmd."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+# a decomposition that takes the syevr path (K = 200 >= 8 * 24 pairs)
+DECOMPOSE = (
+    "import numpy as np; "
+    "x = rmd.TimeSeries(np.sin(np.arange(1000) * 0.3) + np.cos(np.arange(1000) * 0.05), 1.0); "
+    "ms = rmd.rmd_decompose(x, rmd.DecompositionConfig(n_modes=3, K_override=200)); "
+)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # of scipy.linalg only the compiled cython_lapack module is loaded, not the
+    # package: its init, like scipy.fft's, scipy.sparse's and scipy.signal's, adds
+    # to startup time
+    code = (
+        "import sys, rmd; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['scipy', 'fft'], ['scipy', 'sparse'], ['scipy', 'signal'])))"
+    )
+    assert run_fresh(code) == "['scipy.linalg.cython_lapack']"
+
+
+def test_scipy_linalg_imported_later_reuses_the_module():
+    code = (
+        "import importlib, sys, rmd; "
+        "m = sys.modules['scipy.linalg.cython_lapack']; "
+        "import scipy.linalg.cython_lapack as a; "
+        "from scipy.linalg import cython_lapack as b; "
+        "import scipy.linalg; "
+        "c = importlib.import_module('scipy.linalg.cython_lapack'); "
+        + DECOMPOSE +
+        "print(a is m, b is m, c is m, sys.modules['scipy.linalg.cython_lapack'] is m, "
+        "scipy.linalg.cholesky_banded(np.array([[4.0, 9.0]]))[0, 1], len(ms.modes) > 0)"
+    )
+    assert run_fresh(code) == "True True True True 3.0 True"
+
+
+def test_scipy_linalg_imported_first():
+    code = (
+        "import sys, scipy.linalg; "
+        "m = sys.modules['scipy.linalg.cython_lapack']; "
+        "import rmd; "
+        + DECOMPOSE +
+        "print(sys.modules['scipy.linalg.cython_lapack'] is m, "
+        "scipy.linalg.cython_lapack is m, len(ms.modes) > 0)"
+    )
+    assert run_fresh(code) == "True True True"
 
 
 # the API README documents; everything else in the submodules may change
