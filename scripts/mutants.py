@@ -56,16 +56,17 @@ MUTANTS = [
      "test_embedding.py"),
     ("noise amplitude from 20 dB per decade", "signals.py",
      "power / 10.0 ** (snr_db / 10.0)", "power / 10.0 ** (snr_db / 20.0)", "test_signals.py"),
-    # the LAPACK calls through scipy's cython_lapack
+    # the LAPACK calls through scipy's _flapack
     # info != 0 -> info > 0 for one routine at a time
-    *((f"{routine}: negative info passes", "eigen.py", "    if info.value != 0:",
-       f"    if info.value > 0 or info.value and routine != {routine!r}:", "test_eigen.py")
+    *((f"{routine}: negative info passes", "eigen.py", "    if info != 0:",
+       f"    if info > 0 or info and routine != {routine!r}:", "test_eigen.py")
       for routine in ("dpbtrf", "dtbtrs", "dsyevr")),
-    ("cython_lapack in sys.modules not reused", "eigen.py",
+    ("_flapack in sys.modules not reused", "eigen.py",
      "    module = sys.modules.get(name)\n", "    module = None\n", "test_eigen.py"),
-    ("capsule signatures unchecked", "eigen.py",
-     "        if signature != f\"void (", "        if False and signature != f\"void (",
-     "test_eigen.py"),
+    ("dsyevr reads the upper triangle", "eigen.py",
+     'range=b"I", lower=1,', 'range=b"I", lower=0,', "test_eigen.py"),
+    ("default dsyevr workspace", "eigen.py",
+     " lwork=int(work), liwork=iwork,", "", "test_eigen.py"),
     # the one type rule for values read from outside
     ("a bool passes as a number", "signals.py",
      'kind in ("integer", "number") and isinstance(value, bool)',
@@ -80,6 +81,11 @@ MUTANTS = [
      "isinstance(value, int) and False", "test_cli.py"),
     ("non-finite snr_db accepted", "bench.py",
      "            if not np.isfinite(snr):", "            if False:", "test_cli.py"),
+    ("negative seed in a spec accepted", "bench.py",
+     'if checked(name, v, "integer") < 0:', 'if checked(name, v, "integer") < -1:',
+     "test_bench.py"),
+    ("negative synth seed accepted", "cli.py",
+     "    if args.seed < 0:", "    if args.seed < -1:", "test_cli.py"),
     # the CLI's exit-code table
     ("I/O and usage rows swapped", "cli.py",
      "    ((OSError, CsvFormatError), EXIT_IO),\n"

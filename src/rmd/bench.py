@@ -73,8 +73,10 @@ def _listed(name: str, values, item=lambda key, v: checked(key, v, "number")) ->
 def _seed(name: str, v) -> int:
     # beyond the integer rule, an integral float (3.0) or a numpy integer names a seed
     if isinstance(v, np.integer) or isinstance(v, float) and v.is_integer():
-        return int(v)
-    return checked(name, v, "integer")
+        v = int(v)
+    if checked(name, v, "integer") < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,8 @@ def _write_signal_with_sidecar(series, path: Path) -> None:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.kind == "sine3":
         phases = args.phases or [0.0] * len(args.freqs)
         if not (len(args.freqs) == len(args.amps) == len(phases)):

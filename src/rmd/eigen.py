@@ -15,14 +15,14 @@ through numpy.linalg.eigh, computes all K and the top m are kept.  Either
 driver's tridiagonalization is the only O(K^3) step; G, the reduction and each
 ||D v||^2 cost O(K^2) or O(K m).
 
-dpbtrf, dtbtrs and dsyevr are scipy's, called by ctypes through the function
-pointers of scipy.linalg.cython_lapack, which is loaded without scipy.linalg's
-costly package init; a later ``import scipy.linalg`` reuses that module.
+dpbtrf, dtbtrs and dsyevr are called through scipy's f2py wrappers in
+scipy.linalg._flapack, the module behind scipy.linalg.lapack.  It is loaded
+without scipy.linalg's costly package init, and a later ``import scipy.linalg``
+reuses it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -127,16 +127,9 @@ def augmented(R: np.ndarray, alpha: float) -> np.ndarray:
 EIGEN_FLOOR = 1e-12
 
 
-# Each routine called, by its LP64 prototype: c char *, i int *, d double *
-_PROTOTYPES = {"dpbtrf": "ciidii", "dtbtrs": "ccciiididii", "dsyevr": "cccididdiididdiidiiii"}
-_TYPES = {"c": "char *", "i": "int *", "d": "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
-
-
-def _lapack_routines() -> dict:
-    """``_PROTOTYPES``'s routines as ctypes functions on the function pointers of
-    scipy.linalg.cython_lapack, from ``sys.modules`` or loaded and put there; a
-    capsule whose signature is not its routine's prototype raises ImportError."""
-    name = "scipy.linalg.cython_lapack"
+def _lapack_module():
+    """scipy.linalg._flapack from ``sys.modules``, or loaded and put there under its name."""
+    name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
         # scipy.linalg's directory, found without running its package init
@@ -145,66 +138,43 @@ def _lapack_routines() -> dict:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
-    signature_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    routines = {}
-    for routine, prototype in _PROTOTYPES.items():
-        capsule = module.__pyx_capi__[routine]
-        signature = signature_of(capsule)
-        if signature != f"void ({', '.join(_TYPES[t] for t in prototype)})".encode():
-            raise ImportError(f"scipy's LAPACK {routine} is not LP64: {signature.decode()}")
-        function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(prototype))
-        routines[routine] = function(pointer_of(capsule, signature))
-    return routines
+    return module
 
 
-_ROUTINES = _lapack_routines()  # ctypes releases the GIL for the length of each call
+_LAPACK = _lapack_module()
 
 
-def _lapack(routine: str, failure: str, *args) -> None:
-    """Call LAPACK ``routine`` on ``args`` and info, passing an array by its data,
-    an integer or float by reference to a C int or double, anything else as it is.
-    An info other than 0 raises NumericalError, its message led by ``failure``."""
-    info = ctypes.c_int()
-    _ROUTINES[routine](*[a.ctypes.data if isinstance(a, np.ndarray)
-                         else ctypes.byref(ctypes.c_int(a)) if isinstance(a, (int, np.integer))
-                         else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
-                         else a for a in args], ctypes.byref(info))
-    if info.value != 0:
-        raise NumericalError(f"{failure} failed: LAPACK {routine} info {info.value}")
+def _lapack(routine: str, failure: str, *args, **options) -> list:
+    """``_LAPACK.routine(*args, **options)`` but its trailing info; an info other
+    than 0 raises NumericalError, its message led by ``failure``."""
+    *results, info = getattr(_LAPACK, routine)(*args, **options)
+    if info != 0:
+        raise NumericalError(f"{failure} failed: LAPACK {routine} info {info}")
+    return results
 
 
 def _band_cholesky(band: np.ndarray) -> np.ndarray:
     """U with M = U^T U, in upper band storage, for M in upper band storage."""
-    U = np.array(band, np.float64, order="F")
-    _lapack("dpbtrf", "generalized eigensolver", b"U", U.shape[1], U.shape[0] - 1, U, U.shape[0])
+    (U,) = _lapack("dpbtrf", "generalized eigensolver", band)
     return U
 
 
 def _band_solve(U: np.ndarray, B: np.ndarray, trans: bytes = b"N") -> np.ndarray:
     """U^-1 B (``trans=b"N"``) or U^-T B (``b"T"``) for U as ``_band_cholesky``
     returns it; B is not written."""
-    U, X = np.asfortranarray(U, np.float64), np.array(B, np.float64, order="F")
-    _lapack("dtbtrs", "banded triangular solve", b"U", trans, b"N", U.shape[1], U.shape[0] - 1,
-            X.shape[1], U, U.shape[0], X, max(1, X.shape[0]))
+    (X,) = _lapack("dtbtrs", "banded triangular solve", U, B, trans=trans)
     return X
 
 
 def _syevr(C: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top`` largest eigenvalues, ascending, and their eigenvectors of the
-    symmetric K x K C by dsyevr on its lower triangle, with the workspace dsyevr
-    asks for.  A Fortran-ordered C is overwritten."""
-    C, K, m = np.asfortranarray(C, np.float64), C.shape[0], ctypes.c_int()
-    w, Y, isuppz = np.empty(K), np.empty((K, top), order="F"), np.empty(2 * K, np.intc)
-    args = ("dsyevr", "generalized eigensolver", b"V", b"I", b"L", K, C, K, 0.0, 0.0,
-            K - top + 1, K, 0.0, ctypes.byref(m), w, Y, K, isuppz)
-    work, iwork = np.empty(1), np.empty(1, np.intc)
-    _lapack(*args, work, -1, iwork, -1)  # the workspace size query
-    work, iwork = np.empty(int(work[0])), np.empty(iwork[0], np.intc)
-    _lapack(*args, work, work.size, iwork, iwork.size)
-    return w[:m.value], Y[:, :m.value]
+    symmetric K x K C by dsyevr on its lower triangle, with the workspace sized as
+    ``scipy.linalg.eigh`` sizes it.  A Fortran-ordered C is overwritten."""
+    K = C.shape[0]
+    work, iwork = _lapack("dsyevr_lwork", "generalized eigensolver", K, lower=1)
+    w, Y, m, _ = _lapack("dsyevr", "generalized eigensolver", C, range=b"I", lower=1,
+                         il=K - top + 1, iu=K, lwork=int(work), liwork=iwork, overwrite_a=1)
+    return w[:m], Y[:, :m]
 
 
 def solve_generalized(

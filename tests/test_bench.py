@@ -98,6 +98,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="seeds|snr_db"):
             sine_spec(**fields)
 
+    @pytest.mark.parametrize("seed", [-1, -1.0, np.int64(-1), -2**70])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seeds\[1\] must be a non-negative integer"):
+            sine_spec(seeds=(0, seed))
+
     @pytest.mark.parametrize("value", [True, "1", None])
     @pytest.mark.parametrize("field", ["sample_rate_hz", "duration_s", "f1_hz", "f2_hz",
                                        "f3_hz", "f_mod_hz", "peak_tol_hz"])

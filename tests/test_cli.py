@@ -153,6 +153,11 @@ class TestSynth:
         assert run_cli("synth", "sine3", "--snr", snr, "--out", str(out)) == 2
         assert "snr_db" in capsys.readouterr().err and not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", "sine3", "--snr", "0", "--seed", "-1", "--out", str(out)) == 2
+        assert "--seed" in capsys.readouterr().err and not out.exists()
+
     def test_zero_duration_exits_2(self, tmp_path, capsys):
         code = run_cli("synth", "sine3", "--duration", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
@@ -485,6 +490,15 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [-1],
+               "configs": [{"alpha": 1.0}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "bad experiment spec: seeds[0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_length_past_the_cap_exits_2(self, tmp_path, capsys):

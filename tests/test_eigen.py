@@ -395,7 +395,7 @@ class TestTruncatedSolve:
 
     @staticmethod
     def solve_spy(monkeypatch):
-        # syevr comes through the module's own ctypes call, syevd through numpy's eigh
+        # syevr comes through the module's own f2py call, syevd through numpy's eigh
         drivers = []
         syevr, np_eigh = eigen._syevr, np.linalg.eigh
 
@@ -482,8 +482,8 @@ class TestTruncatedSolve:
 
 
 class TestLapackCalls:
-    """The ctypes calls to scipy's cython_lapack give scipy.linalg's f2py results
-    bit for bit; scipy.linalg is the oracle."""
+    """The calls to scipy's _flapack give scipy.linalg's cholesky_banded,
+    lapack.dtbtrs and eigh results bit for bit; scipy.linalg is the oracle."""
 
     @pytest.mark.parametrize("K, order", [
         (K, order) for K in (2, 3, 9, 40, 200, 682) for order in (1, 2) if K > order])
@@ -514,7 +514,7 @@ class TestLapackCalls:
         eigen._band_solve(U, B)
         assert np.array_equal(band, band_copy) and np.array_equal(B, B_copy)
 
-    # a stand-in routine writes the info of an illegal argument: every nonzero
+    # a stand-in routine returns the info of an illegal argument: every nonzero
     # info raises, not only the positive ones real inputs can reach
     @pytest.mark.parametrize("routine, call, message", [
         ("dpbtrf", lambda: eigen._band_cholesky(np.ones((2, 5))),
@@ -525,8 +525,7 @@ class TestLapackCalls:
          "generalized eigensolver failed: LAPACK dsyevr info -3"),
     ])
     def test_negative_info_raises(self, monkeypatch, routine, call, message):
-        monkeypatch.setitem(eigen._ROUTINES, routine,
-                            lambda *args: setattr(args[-1]._obj, "value", -3))
+        monkeypatch.setattr(eigen._LAPACK, routine, lambda *args, **options: (None, -3))
         with pytest.raises(NumericalError, match=message):
             call()
 
@@ -537,12 +536,8 @@ class TestLapackCalls:
                            match="banded triangular solve failed: LAPACK dtbtrs info 3"):
             eigen._band_solve(U, np.ones((5, 1)))
 
-    def test_loaded_module_is_reused_and_its_signatures_checked(self, monkeypatch):
-        # a module already in sys.modules is used as it is: here one whose dtbtrs
-        # capsule holds dpbtrf's prototype, which must be refused by name
-        capi = dict(sys.modules["scipy.linalg.cython_lapack"].__pyx_capi__)
-        capi["dtbtrs"] = capi["dpbtrf"]
-        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack",
-                            types.SimpleNamespace(__pyx_capi__=capi))
-        with pytest.raises(ImportError, match="dtbtrs"):
-            eigen._lapack_routines()
+    def test_loaded_module_is_reused(self, monkeypatch):
+        # a module already in sys.modules is used as it is, not loaded again
+        module = types.SimpleNamespace()
+        monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", module)
+        assert eigen._lapack_module() is module

@@ -20,7 +20,7 @@ DECOMPOSE = (
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # of scipy.linalg only the compiled cython_lapack module is loaded, not the
+    # of scipy.linalg only the compiled _flapack module is loaded, not the
     # package: its init, like scipy.fft's, scipy.sparse's and scipy.signal's, adds
     # to startup time
     code = (
@@ -28,34 +28,35 @@ def test_import_loads_no_heavy_scipy_subpackage():
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
         "(['scipy', 'linalg'], ['scipy', 'fft'], ['scipy', 'sparse'], ['scipy', 'signal'])))"
     )
-    assert run_fresh(code) == "['scipy.linalg.cython_lapack']"
+    assert run_fresh(code) == "['scipy.linalg._flapack']"
 
 
 def test_scipy_linalg_imported_later_reuses_the_module():
     code = (
         "import importlib, sys, rmd; "
-        "m = sys.modules['scipy.linalg.cython_lapack']; "
-        "import scipy.linalg.cython_lapack as a; "
-        "from scipy.linalg import cython_lapack as b; "
+        "m = sys.modules['scipy.linalg._flapack']; "
+        "import scipy.linalg._flapack as a; "
+        "from scipy.linalg import _flapack as b; "
         "import scipy.linalg; "
-        "c = importlib.import_module('scipy.linalg.cython_lapack'); "
+        "c = importlib.import_module('scipy.linalg._flapack'); "
         + DECOMPOSE +
-        "print(a is m, b is m, c is m, sys.modules['scipy.linalg.cython_lapack'] is m, "
+        "print(a is m, b is m, c is m, sys.modules['scipy.linalg._flapack'] is m, "
+        "scipy.linalg.lapack.dtbtrs is m.dtbtrs, "
         "scipy.linalg.cholesky_banded(np.array([[4.0, 9.0]]))[0, 1], len(ms.modes) > 0)"
     )
-    assert run_fresh(code) == "True True True True 3.0 True"
+    assert run_fresh(code) == "True True True True True 3.0 True"
 
 
 def test_scipy_linalg_imported_first():
     code = (
         "import sys, scipy.linalg; "
-        "m = sys.modules['scipy.linalg.cython_lapack']; "
+        "m = sys.modules['scipy.linalg._flapack']; "
         "import rmd; "
         + DECOMPOSE +
-        "print(sys.modules['scipy.linalg.cython_lapack'] is m, "
-        "scipy.linalg.cython_lapack is m, len(ms.modes) > 0)"
+        "print(sys.modules['scipy.linalg._flapack'] is m, rmd.eigen._LAPACK is m, "
+        "scipy.linalg.lapack.dtbtrs is m.dtbtrs, len(ms.modes) > 0)"
     )
-    assert run_fresh(code) == "True True True"
+    assert run_fresh(code) == "True True True True"
 
 
 # the API README documents; everything else in the submodules may change
