@@ -46,8 +46,12 @@ MUTANTS = [
     ("shrinkage ignores alpha", "modes.py",
      "1.0 / (1.0 + config.alpha * basis.mu)", "1.0 / (1.0 + basis.mu)", "test_modes.py"),
     ("modes by ascending gamma", "modes.py",
-     "key=lambda i: -clusters[i].gamma_total", "key=lambda i: clusters[i].gamma_total",
+     "key=lambda i: -clusters[i].gamma", "key=lambda i: clusters[i].gamma",
      "test_modes.py"),
+    ("no-peak fallback K uncapped", "embedding.py",
+     "k = min(upper, 1200)", "k = upper", "test_embedding.py"),
+    ("DFT rounding peaks", "signals.py",
+     "some = (best > 0) & (best >= floor)", "some = best > 0", "test_signals.py"),
     ("anti-diagonal counts unclipped", "embedding.py",
      "np.minimum(np.minimum(k + 1, n - k), min(L, K))", "np.minimum(k + 1, n - k)",
      "test_embedding.py"),
@@ -63,8 +67,10 @@ MUTANTS = [
       for routine in ("dpbtrf", "dtbtrs", "dsyevr")),
     ("_flapack in sys.modules not reused", "eigen.py",
      "    module = sys.modules.get(name)\n", "    module = None\n", "test_eigen.py"),
+    ("missing _flapack unchecked", "eigen.py",
+     "        if spec is None:", "        if False:", "test_eigen.py"),
     ("dsyevr reads the upper triangle", "eigen.py",
-     'range=b"I", lower=1,', 'range=b"I", lower=0,', "test_eigen.py"),
+     'range="I", lower=1,', 'range="I", lower=0,', "test_eigen.py"),
     ("default dsyevr workspace", "eigen.py",
      " lwork=int(work), liwork=iwork,", "", "test_eigen.py"),
     # the one type rule for values read from outside

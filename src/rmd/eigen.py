@@ -135,6 +135,9 @@ def _lapack_module():
         # scipy.linalg's directory, found without running its package init
         linalg = importlib.util.find_spec("scipy.linalg").submodule_search_locations
         spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        if spec is None:  # finding scipy.linalg imported scipy
+            version = sys.modules["scipy"].__version__
+            raise ImportError(f"rmd needs {name}, which scipy {version} lacks", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
@@ -159,8 +162,8 @@ def _band_cholesky(band: np.ndarray) -> np.ndarray:
     return U
 
 
-def _band_solve(U: np.ndarray, B: np.ndarray, trans: bytes = b"N") -> np.ndarray:
-    """U^-1 B (``trans=b"N"``) or U^-T B (``b"T"``) for U as ``_band_cholesky``
+def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
+    """U^-1 B (``trans="N"``) or U^-T B (``"T"``) for U as ``_band_cholesky``
     returns it; B is not written."""
     (X,) = _lapack("dtbtrs", "banded triangular solve", U, B, trans=trans)
     return X
@@ -172,7 +175,7 @@ def _syevr(C: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     ``scipy.linalg.eigh`` sizes it.  A Fortran-ordered C is overwritten."""
     K = C.shape[0]
     work, iwork = _lapack("dsyevr_lwork", "generalized eigensolver", K, lower=1)
-    w, Y, m, _ = _lapack("dsyevr", "generalized eigensolver", C, range=b"I", lower=1,
+    w, Y, m, _ = _lapack("dsyevr", "generalized eigensolver", C, range="I", lower=1,
                          il=K - top + 1, iu=K, lwork=int(work), liwork=iwork, overwrite_a=1)
     return w[:m], Y[:, :m]
 
@@ -208,7 +211,7 @@ def solve_generalized(
     U = _band_cholesky(augmented(smoothing_matrix(diff_operator(order, K)), alpha))
     # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
     # C = U^-T (U^-T G)^T = U^-T G U^-1
-    C = _band_solve(U, _band_solve(U, G.T, b"T").T, b"T")
+    C = _band_solve(U, _band_solve(U, G.T, "T").T, "T")
     try:
         C = np.asarray_chkfinite(C)
         # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve

@@ -24,11 +24,12 @@ def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> 
     """Window length from the dominant frequency: about 1.2 sample periods.
 
     With no usable peak (absent, or below 1e-3 of the sample rate) the
-    fallback is N/3.  The result is clamped to [4, floor(N/3)].
+    fallback is N/3, capped at 1200, the largest K the peak rule gives
+    (1.2 / 1e-3).  The result is clamped to [4, floor(N/3)].
     """
     upper = n // 3
     if f_max is None or f_max / sample_rate < 1e-3:
-        k = upper
+        k = min(upper, 1200)
     else:
         # scaled exactly by 2**-s, so 1.2 * rate cannot overflow; the same quotient
         s = math.frexp(sample_rate)[1]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,13 +82,16 @@ class DecompositionConfig:
 @dataclass(frozen=True)
 class ModeReport:
     """Per-mode statistics of the member eigenpairs: their gamma sum, gamma-weighted
-    mean mu and energy sum v^T G v = gamma (1 + alpha mu) (>= gamma, equal at alpha = 0)."""
+    mean mu, energy sum v^T G v = gamma (1 + alpha mu) (>= gamma, equal at alpha = 0)
+    and count, the mode's peak, and the members' ranks in the descending basis
+    (``member_indices``, in memory only: ``write_modeset`` writes the count)."""
 
     gamma: float
     mu: float
     energy: float
     members: int
     peak_frequency_hz: float | None
+    member_indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,19 +143,9 @@ def similarity(V: np.ndarray, measure: str) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True, eq=False)
-class MergedMode:
-    """A cluster of eigenpairs and the statistics of its members."""
-
-    gamma_total: float           # sum of member eigenvalues
-    mu: float                    # gamma-weighted mean of the members' roughness
-    energy: float                # sum of gamma_i (1 + alpha mu_i) = v_i^T G v_i
-    member_indices: tuple[int, ...]  # indices into the sorted eigenbasis
-
-
 def cluster_and_merge(
     basis: EigenBasis, config: DecompositionConfig
-) -> tuple[list[MergedMode], list[np.ndarray]]:
+) -> tuple[list[ModeReport], list[np.ndarray]]:
     """Greedy similarity clustering over the descending eigenbasis.
 
     Each still-unconsumed eigenvector seeds a cluster and absorbs every
@@ -161,17 +154,18 @@ def cluster_and_merge(
     (normalized-euclidean scales coordinates by their spread over the basis's
     columns, only the top m pairs when the solve was truncated).  A cluster's
     statistics are sums and gamma-weighted means over its members, so no basis
-    the solver picks inside a near-degenerate pair moves them.  Clustering
-    stops after ``n_modes`` clusters or when all vectors are spent; leftovers
-    (including the numerically negligible pairs, which never join clusters)
-    are returned as the residual set.
+    the solver picks inside a near-degenerate pair moves them; each cluster is a
+    ``ModeReport`` on the basis's scale, members listed from the seed, no peak yet.
+    Clustering stops after ``n_modes`` clusters or when all vectors are spent;
+    leftovers (including the numerically negligible pairs, which never join
+    clusters) are returned as the residual set.
     """
     m = len(basis)
     V = basis.vectors
     S = similarity(V, config.similarity)
 
     consumed = basis.negligible.copy()
-    merged: list[MergedMode] = []
+    merged: list[ModeReport] = []
     for i in range(m):
         if len(merged) >= config.n_modes:
             break
@@ -187,8 +181,9 @@ def cluster_and_merge(
         total = float(sum(gammas))
         # zero gammas pass the floor when EIGEN_FLOOR * gmax underflows: equal weights
         weights = gammas / total if total > 0 else np.full(len(members), 1 / len(members))
-        merged.append(MergedMode(gamma_total=total, mu=float(weights @ mus),
+        merged.append(ModeReport(gamma=total, mu=float(weights @ mus),
                                  energy=float(sum(gammas * (1.0 + config.alpha * mus))),
+                                 members=len(members), peak_frequency_hz=None,
                                  member_indices=tuple(members)))
     leftovers = [V[:, i] for i in range(m) if not consumed[i]]
     leftovers += [V[:, i] for i in np.flatnonzero(basis.negligible)]
@@ -196,15 +191,15 @@ def cluster_and_merge(
 
 
 def _scale_back(
-    x: TimeSeries, xs: TimeSeries, shift: int, parts, stats,
+    x: TimeSeries, xs: TimeSeries, shift: int, parts, reports,
 ) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
     """Modes, residual and reports of x from mode samples found on xs = x / 2**shift.
 
-    ``parts`` holds one row of samples and ``stats`` one (gamma, mu, energy,
-    members) per mode.  The residual xs - sum(parts) is taken on xs, where
-    nothing overflows, and the peaks are read there from one periodogram
-    of the stacked parts.  Samples then scale back by 2**shift, gamma and
-    energy by 4**shift; power-of-two scaling is exact, so the decomposition is
+    ``parts`` holds one row of samples and ``reports`` one ``ModeReport`` on xs's
+    scale per mode, returned with its peak set.  The residual xs - sum(parts) is
+    taken on xs, where nothing overflows, and the peaks are read there from one
+    periodogram of the stacked parts.  Samples then scale back by 2**shift, gamma
+    and energy by 4**shift; power-of-two scaling is exact, so the decomposition is
     scale-equivariant, except that scaling down (shift <= 0) rounds samples
     below 2**-1022: there the residual is taken as x minus the scaled-back
     modes, so that they still sum back to x.  A gamma or energy past the
@@ -214,19 +209,16 @@ def _scale_back(
     freqs = np.fft.rfftfreq(len(x), d=1.0 / x.sample_rate)
     # a mode whose 0 Hz bin is its strongest reports a 0.0 Hz peak
     peaks = row_peaks(periodogram_power(parts), freqs, dc=True)
-    report = []
-    for peak, (gamma, mu, energy, members) in zip(peaks, stats):
-        with np.errstate(over="ignore"):
-            gamma, energy = np.ldexp([gamma, energy], 2 * shift)
-        report.append(ModeReport(gamma=float(gamma), mu=mu, energy=float(energy),
-                                 members=members, peak_frequency_hz=peak))
     with np.errstate(over="ignore"):
+        scaled = np.ldexp([[r.gamma, r.energy] for r in reports], 2 * shift).tolist()
         out = np.ldexp(np.vstack([*parts, residual]), shift)
+    report = tuple(replace(r, gamma=g, energy=e, peak_frequency_hz=p)
+                   for r, (g, e), p in zip(reports, scaled, peaks))
     if shift <= 0:
         out[-1] = x.samples - sum(out[:-1])
     if not np.isfinite(out).all():
         raise NumericalError("a mode or the residual exceeds the float64 range")
-    return tuple(x.with_samples(m) for m in out[:-1]), x.with_samples(out[-1]), tuple(report)
+    return tuple(x.with_samples(m) for m in out[:-1]), x.with_samples(out[-1]), report
 
 
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
@@ -262,9 +254,8 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
         gains = (1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage
                  else np.ones(len(basis)))
     parts = diagonal_average(X, basis.vectors, gains, [list(c.member_indices) for c in clusters])
-    order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma_total)
-    stats = [(c.gamma_total, c.mu, c.energy, len(c.member_indices)) for c in clusters]
-    modes, residual, report = _scale_back(x, xs, shift, parts[order], [stats[i] for i in order])
+    order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma)
+    modes, residual, report = _scale_back(x, xs, shift, parts[order], [clusters[i] for i in order])
 
     warnings = () if len(modes) >= config.n_modes else (
         f"requested {config.n_modes} modes but only {len(modes)} cluster(s) were available",)
@@ -292,8 +283,9 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
         r = s.size
 
     parts = diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
-    stats = [(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1) for i in range(r)]
-    modes, residual, report = _scale_back(x, xs, shift, parts, stats)
+    reports = [ModeReport(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1, None, (i,))
+               for i in range(r)]
+    modes, residual, report = _scale_back(x, xs, shift, parts, reports)
     config = DecompositionConfig(n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
                                  similarity="cosine", K_override=K)
     return ModeSet(modes=modes, residual=residual, report=report, config=config,

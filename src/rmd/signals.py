@@ -261,10 +261,14 @@ def periodogram(x: TimeSeries) -> Spectrum:
 def row_peaks(power: np.ndarray, freqs: np.ndarray, dc: bool = False) -> list[float | None]:
     """``dominant_frequency`` of each row of ``power`` (at least 2 bins) on the
     grid ``freqs``; with ``dc``, a row whose positive 0 Hz bin is its strongest
-    peaks at 0.0 instead."""
+    peaks at 0.0 instead.  A strongest non-DC bin below eps**2 * bins times the
+    row's total power is DFT rounding, as a constant row's are: no peak."""
     body = power[:, 1:]
     k = np.argmax(body, axis=1)
-    some = body[np.arange(k.size), k] > 0
+    best = body[np.arange(k.size), k]
+    with np.errstate(over="ignore"):  # a total past the float64 range: only inf bins peak
+        floor = np.finfo(float).eps ** 2 * power.shape[1] * power.sum(axis=1)
+    some = (best > 0) & (best >= floor)
     at_dc = dc & (power[:, 0] > 0) & (power[:, 0] >= power.max(axis=1))
     return [0.0 if z else float(freqs[1 + j]) if s else None
             for z, s, j in zip(at_dc.tolist(), some.tolist(), k.tolist())]

@@ -473,7 +473,7 @@ class TestTruncatedBasisOnBundledSpecs:
                             == [c.member_indices for c in full]), (snr, seed, config)
                     # rmd_decompose's modes are these clusters, by descending gamma
                     sizes = [len(c.member_indices)
-                             for c in sorted(top, key=lambda c: -c.gamma_total)]
+                             for c in sorted(top, key=lambda c: -c.gamma)]
                     ms = rmd_decompose(noisy, config)
                     assert [e.members for e in ms.report] == sizes, (snr, seed, config)
                     cells += 1

@@ -353,6 +353,23 @@ class TestSpectrum:
         assert "no dominant frequency" in stdout
         assert "K=100" in stdout  # floor(300 / 3)
 
+    @pytest.mark.parametrize("n, k", [(1000, 333), (2000, 666), (5000, 1200)])
+    def test_longer_constants_have_no_dominant_frequency(self, tmp_path, capsys, n, k):
+        # their non-DC bins hold FFT rounding only, ~1e-34 against a DC power of 1
+        path = tmp_path / "const.csv"
+        write_timeseries_csv(TimeSeries(np.ones(n), 100.0), path)
+        assert run_cli("spectrum", str(path), "--sample-rate", "100") == 0
+        assert capsys.readouterr().out == \
+            f"no dominant frequency (DC-only spectrum); suggested K={k}\n"
+
+    def test_ramp_suggests_at_most_the_peak_rules_largest_k(self, tmp_path, capsys):
+        # a ramp's strongest bin is its lowest, far below 1e-3 of the rate: the N/3
+        # fallback, capped at 1200, not 10000 (rmd decompose would solve a 10000 x 10000 G)
+        path = tmp_path / "ramp.csv"
+        write_timeseries_csv(TimeSeries(np.arange(30_000.0), 100.0), path)
+        assert run_cli("spectrum", str(path), "--sample-rate", "100") == 0
+        assert "suggested K=1200" in capsys.readouterr().out
+
     def test_two_sample_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         path.write_text("1.0\n2.0\n")

@@ -541,3 +541,22 @@ class TestLapackCalls:
         module = types.SimpleNamespace()
         monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", module)
         assert eigen._lapack_module() is module
+
+    def test_missing_module_raises_import_error(self, monkeypatch):
+        # a scipy whose linalg directory has no _flapack: an ImportError naming the
+        # module and scipy's version, not an AttributeError from a None spec
+        import importlib.machinery
+        import scipy
+
+        name = "scipy.linalg._flapack"
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def missing(fullname, path=None, target=None):
+            return None if fullname == name else find_spec(fullname, path, target)
+
+        monkeypatch.delitem(sys.modules, name)  # put back when the test ends
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", missing)
+        with pytest.raises(ImportError, match=f"{name}.*scipy {scipy.__version__}") as info:
+            eigen._lapack_module()
+        assert info.value.name == name
+        assert name not in sys.modules

@@ -23,6 +23,14 @@ class TestEmbeddingDimension:
     def test_low_peak_falls_back_to_third_of_length(self):
         assert embedding_dim_from_peak(0.1, 1000.0, 300) == 100
         assert embedding_dim_from_peak(None, 1000.0, 300) == 100
+        assert embedding_dim_from_peak(None, 100.0, 3599) == 1199  # below the cap
+
+    @pytest.mark.parametrize("n", [3603, 30_000, 300_000])
+    def test_fallback_capped_at_the_peak_rules_largest_k(self, n):
+        # the peak rule gives at most round(1.2 / 1e-3) = 1200; N/3 alone passes it from N = 3603
+        assert embedding_dim_from_peak(None, 100.0, n) == 1200
+        assert embedding_dim_from_peak(0.05, 100.0, n) == 1200  # a peak below 1e-3 of the rate
+        assert embedding_dim_from_peak(0.1, 100.0, n) == 1200  # the peak rule's own largest
 
     def test_high_tone_clamps_to_minimum(self):
         # raw round(1.2 * 200 / 95) = 3, clamped up to 4

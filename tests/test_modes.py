@@ -194,11 +194,11 @@ class TestClusterAndMerge:
         assert [c.member_indices for c in clusters] == [(0, 1), (2,)]
         assert leftovers == []
         # the members' statistics: gamma summed, mu gamma-weighted, energy sum gamma (1 + alpha mu)
-        assert clusters[0].gamma_total == 5.0
+        assert clusters[0].gamma == 5.0
         assert clusters[0].mu == pytest.approx((3.0 * 0.5 + 2.0 * 2.0) / 5.0, rel=1e-15)
         assert clusters[0].energy == 3.0 * 1.125 + 2.0 * 1.5
         # one member: its own mu, exactly
-        assert (clusters[1].gamma_total, clusters[1].mu, clusters[1].energy) == (1.0, 1.0, 1.25)
+        assert (clusters[1].gamma, clusters[1].mu, clusters[1].energy) == (1.0, 1.0, 1.25)
 
     def test_sign_flipped_duplicate_merges_cleanly(self):
         e1 = np.array([1.0, 0.0, 0.0])
@@ -209,8 +209,8 @@ class TestClusterAndMerge:
         same, _ = cluster_and_merge(
             replace(make_basis([e1, e1, [0, 1, 0]], [3.0, 2.0, 1.0]), mu=mu), cfg)
         # a member's sign changes nothing a cluster reports
-        assert [(c.member_indices, c.gamma_total, c.mu, c.energy) for c in flipped] == \
-            [(c.member_indices, c.gamma_total, c.mu, c.energy) for c in same]
+        assert [(c.member_indices, c.gamma, c.mu, c.energy) for c in flipped] == \
+            [(c.member_indices, c.gamma, c.mu, c.energy) for c in same]
         assert flipped[0].member_indices == (0, 1)
 
     def test_quadrature_pair_of_tone_merges_with_spectral(self):
@@ -237,7 +237,7 @@ class TestClusterAndMerge:
         clusters, leftovers = cluster_and_merge(
             basis, DecompositionConfig(n_modes=2, similarity="cosine"))
         assert [c.member_indices for c in clusters] == [(0, 1), (2,)]
-        assert leftovers == [] and clusters[0].gamma_total == 0.0
+        assert leftovers == [] and clusters[0].gamma == 0.0
         assert clusters[0].energy == 0.0
         mu = np.sum(np.diff(basis.vectors[:, :2], axis=0) ** 2, axis=0)
         # zero weights: the members' plain mean
@@ -283,6 +283,33 @@ class TestClusterAndMerge:
         for a, b in zip(got, ref):
             np.testing.assert_allclose([a.gamma, a.mu, a.energy], [b.gamma, b.mu, b.energy],
                                        rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reports_carry_the_cluster_members(self, seed):
+        # each report's member_indices are one cluster's, its members their count
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 600))
+        x = TimeSeries(rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20), 50.0)
+        K = None if seed % 2 else int(rng.integers(3, n // 2))
+        cfg = DecompositionConfig(
+            n_modes=int(rng.integers(1, 9)), merge_threshold=float(rng.uniform(0.3, 1.0)),
+            alpha=float(rng.uniform(0.0, 5.0)), diff_order=int(rng.integers(1, 3)),
+            similarity=SIMILARITY_MEASURES[seed % 4], K_override=K)
+        seen = []
+
+        def recorded(*args):
+            clusters, leftovers = cluster_and_merge(*args)
+            seen.append(clusters)
+            return clusters, leftovers
+
+        with mock.patch.object(rmd.modes, "cluster_and_merge", recorded):
+            ms = rmd_decompose(x, cfg)
+        (clusters,) = seen
+        assert len(ms.report) == len(clusters) >= 1
+        assert all(r.members == len(r.member_indices) for r in ms.report)
+        assert sorted(i for r in ms.report for i in r.member_indices) == \
+            sorted(i for c in clusters for i in c.member_indices)
+        assert {r.member_indices for r in ms.report} == {c.member_indices for c in clusters}
 
 
 class TestReconstructMode:
@@ -674,7 +701,7 @@ class TestArrayPathOracles:
         tm, basis = solve_basis(x, K, cfg.alpha, order, n_pairs=8 * cfg.n_modes)
         clusters, _ = cluster_and_merge(basis, cfg)
         Zs = []
-        for c in sorted(clusters, key=lambda c: -c.gamma_total):
+        for c in sorted(clusters, key=lambda c: -c.gamma):
             Z = np.zeros_like(tm)
             for m in c.member_indices:
                 v = basis.vectors[:, m]
@@ -757,6 +784,7 @@ class TestSsaDecompose:
         ms = ssa_decompose(x, K=10, r=4)
         for e, s in zip(ms.report, svals):
             assert e.gamma == pytest.approx(s**2, rel=1e-10)
+        assert [(e.members, e.member_indices) for e in ms.report] == [(1, (i,)) for i in range(4)]
 
     def test_huge_amplitude_is_scale_equivariant(self):
         # gamma and energy of a 1e200 sine overflow: they read inf, with no

@@ -247,6 +247,16 @@ class TestDominantFrequency:
     def test_dc_only_has_no_dominant_frequency(self):
         assert dominant_frequency(periodogram(TimeSeries(np.ones(32), 8.0))) is None
 
+    @pytest.mark.parametrize("n", [65, 1000, 2000, 5000, 65537])
+    def test_constants_of_any_length_have_no_dominant_frequency(self, n):
+        # the non-DC bins of a constant hold DFT rounding only, below the floor
+        for c in (1.0, -3.7, 1e150, 1e-150):
+            assert dominant_frequency(periodogram(TimeSeries(np.full(n, c), 100.0))) is None
+        # a tone 1e-6 of the constant is no rounding
+        t = np.arange(n) / 100.0
+        x = TimeSeries(1.0 + 1e-6 * np.cos(2 * np.pi * (100.0 * 7 / n) * t), 100.0)
+        assert dominant_frequency(periodogram(x)) == pytest.approx(100.0 * 7 / n, rel=1e-12)
+
     def test_on_grid_tone_exact(self):
         for f in (1.0, 3.0, 12.0):
             t = np.arange(256) / 64.0
@@ -298,12 +308,16 @@ class TestScoreMode:
 
 def reference_peak(spec, dc):
     """One spectrum's peak by the per-spectrum rules: the strongest non-DC bin,
-    None if no bin past 0 Hz is positive; with ``dc``, 0.0 where a positive
-    0 Hz bin is the strongest."""
+    None if no bin past 0 Hz is positive or the strongest is below the rounding
+    floor eps**2 * bins * total power; with ``dc``, 0.0 where a positive 0 Hz
+    bin is the strongest."""
     p = spec.power
     if dc and 0.0 < p[0] >= p.max():
         return 0.0
-    return float(spec.frequencies[1 + int(np.argmax(p[1:]))]) if np.any(p[1:] > 0) else None
+    with np.errstate(over="ignore"):
+        floor = np.finfo(float).eps ** 2 * p.size * p.sum()
+    best = p[1:].max()
+    return float(spec.frequencies[1 + int(np.argmax(p[1:]))]) if 0 < best >= floor else None
 
 
 def reference_score(candidate, truth):
