@@ -92,6 +92,43 @@ MUTANTS = [
      "test_bench.py"),
     ("negative synth seed accepted", "cli.py",
      "    if args.seed < 0:", "    if args.seed < -1:", "test_cli.py"),
+    # each input rule in the one library function every front end calls
+    ("a collapsed frequency grid read", "signals.py",
+     "1.0 / x.sample_rate)) > 0).all():", "1.0 / x.sample_rate)) >= 0).all():",
+     "test_signals.py"),
+    ("zero noise accepted", "signals.py",
+     "    if not 0 < sigma < math.inf:", "    if not sigma < math.inf:", "test_signals.py"),
+    ("K suggested for a short series", "embedding.py",
+     "    if len(x) < MIN_SAMPLES:", "    if False:", "test_embedding.py"),
+    # statements that only these tests reach
+    ("file-run summary rows dropped", "bench.py",
+     "        elif cell.success:", "        elif False:", "test_bench.py"),
+    ("respiration band edges exclusive", "bench.py",
+     "RESPIRATION_BAND[0] <= peak <= RESPIRATION_BAND[1]",
+     "RESPIRATION_BAND[0] < peak < RESPIRATION_BAND[1]", "test_bench.py"),
+    ("heartbeat band edges exclusive", "bench.py",
+     "HEARTBEAT_BAND[0] <= peak <= HEARTBEAT_BAND[1]",
+     "HEARTBEAT_BAND[0] < peak < HEARTBEAT_BAND[1]", "test_bench.py"),
+    ("a peakless mode compared with the bands", "bench.py",
+     '    if peak is None:\n        return ""\n', "", "test_bench.py"),
+    ("one core without an affinity call", "bench.py",
+     "        return os.cpu_count() or 1", "        return 1", "test_bench.py"),
+    ("a config that is not an object unnamed", "bench.py",
+     "    if not isinstance(doc, dict):", "    if False:", "test_cli.py"),
+    ("negative frequency accepted", "signals.py",
+     "        if self.frequency < 0:", "        if False:", "test_cli.py"),
+    ("negative amplitude accepted", "signals.py",
+     "        if self.amplitude < 0:", "        if False:", "test_cli.py"),
+    ("a series compared with another type", "signals.py",
+     "        if not isinstance(other, TimeSeries):\n            return NotImplemented\n",
+     "", "test_signals.py"),
+    ("a bad number list read as empty", "cli.py",
+     "    except ValueError:\n        raise argparse.ArgumentTypeError",
+     "    except ValueError:\n        return []\n        raise argparse.ArgumentTypeError",
+     "test_cli.py"),
+    ("ssa with no components", "modes.py", "    if r < 1:", "    if r < 0:", "test_modes.py"),
+    ("a mode past the float64 range returned", "modes.py",
+     "    if not np.isfinite(out).all():", "    if False:", "test_modes.py"),
     # the CLI's exit-code table
     ("I/O and usage rows swapped", "cli.py",
      "    ((OSError, CsvFormatError), EXIT_IO),\n"

@@ -418,9 +418,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         except Exception as exc:  # cell failures are data
             outcome = dict(success=False, error=f"{type(exc).__name__}: {exc}")
         return CellResult(
-            snr_db=snr, seed=seed, alpha=config.alpha, diff_order=config.diff_order,
-            theta=config.merge_threshold, n_modes=config.n_modes, measure=config.similarity,
-            shrinkage=config.shrinkage, wall_ms=(time.perf_counter() - t0) * 1e3, **outcome,
+            snr_db=snr, seed=seed, wall_ms=(time.perf_counter() - t0) * 1e3, **outcome,
+            **{key: getattr(config, name) for key, name in SPEC_CONFIG_KEYS.items()},
         )
 
     cells = [(snr, seed, x, config) for snr, seed, x in draws for config in spec.configs]

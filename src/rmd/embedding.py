@@ -39,8 +39,12 @@ def embedding_dim_from_peak(f_max: float | None, sample_rate: float, n: int) -> 
 
 def select_embedding_dimension(x: TimeSeries) -> tuple[int, float | None]:
     """The embedding dimension for a series of at least ``MIN_SAMPLES`` samples
-    and the spectral peak it is picked from, taken on the ``unit_scaled``
-    samples, whose power no finite magnitude pushes past the float64 range."""
+    (fewer raise SignalTooShortError) and the spectral peak it is picked from,
+    taken on the ``unit_scaled`` samples, whose power no finite magnitude
+    pushes past the float64 range."""
+    if len(x) < MIN_SAMPLES:
+        raise SignalTooShortError(
+            f"signal too short for an embedding-dimension suggestion ({len(x)} samples)")
     f_max = dominant_frequency(periodogram(x.with_samples(unit_scaled(x.samples)[0])))
     return embedding_dim_from_peak(f_max, x.sample_rate, len(x)), f_max
 

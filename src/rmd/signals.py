@@ -211,7 +211,7 @@ def add_noise_at_snr(
     so a fixed seed reproduces the noise bit for bit.  The power is taken on
     x / 2**s with max|x| / 2**s in [0.5, 1) and sigma scaled back by 2**s,
     which is exact, so no finite signal overflows in it.  An SNR whose noise
-    leaves the float64 range raises ValueError.
+    leaves the float64 range or rounds to 0 (as at +inf dB) raises ValueError.
 
     Returns
     -------
@@ -226,7 +226,7 @@ def add_noise_at_snr(
         sigma = math.ldexp(math.sqrt(power / 10.0 ** (snr_db / 10.0)), shift)
     except (OverflowError, ZeroDivisionError):
         sigma = math.inf
-    if not math.isfinite(sigma):
+    if not 0 < sigma < math.inf:
         raise ValueError(f"noise at snr_db={snr_db:g} is outside the float64 range")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # an inf sample is rejected by TimeSeries
@@ -380,6 +380,9 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
         UTF-8, or an empty file; every message starts with the path.
     OSError
         If the file cannot be read.
+    ValueError
+        If the rate is not finite and positive, or so small that 1 / rate or
+        N / rate leaves the float64 range and every frequency bin reads 0 Hz.
     """
     path = Path(path)
     try:
@@ -413,7 +416,11 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
         ref = float(np.mean(dt))
         if ref <= 0 or np.max(np.abs(dt - ref)) > 1e-6 * abs(ref):
             raise CsvFormatError(f"{path}: time column is not uniformly spaced")
-    return TimeSeries(table[:, -1], sample_rate_hz)
+    x = TimeSeries(table[:, -1], sample_rate_hz)
+    if not (np.diff(np.fft.rfftfreq(len(x), 1.0 / x.sample_rate)) > 0).all():
+        raise ValueError(f"sample rate {x.sample_rate:g} Hz collapses the frequency grid "
+                         f"of {len(x)} samples")
+    return x
 
 
 def write_timeseries_csv(x: TimeSeries, path: str | Path) -> None:

@@ -13,6 +13,7 @@ from rmd.bench import (
     CellResult,
     ExperimentReport,
     ExperimentSpec,
+    _band_label,
     _source,
     _truth_profile,
     run_experiment,
@@ -282,6 +283,12 @@ class TestConcurrentCells:
             run_experiment(spec)
         assert len(calls) < 12
 
+    @pytest.mark.parametrize("count, cores", [(3, 3), (None, 1)])
+    def test_cores_without_an_affinity_call(self, monkeypatch, count, cores):
+        monkeypatch.delattr(rmd.bench.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(rmd.bench.os, "cpu_count", lambda: count)
+        assert rmd.bench._usable_cores() == cores
+
 
 class TestNonlinearExperiment:
     def test_effectively_noiseless_run(self, am_mixture):
@@ -338,6 +345,13 @@ class TestFileExperiment:
         assert cell.success
         assert "respiration" in cell.band_labels
         assert "heartbeat" in cell.band_labels
+
+    @pytest.mark.parametrize("peak, label", [
+        (None, ""), (0.05, ""), (0.1, "respiration"), (0.5, "respiration"), (0.65, ""),
+        (0.8, "heartbeat"), (2.0, "heartbeat"), (2.5, ""),
+    ])
+    def test_band_edges_are_inclusive(self, peak, label):
+        assert _band_label(peak) == label
 
     def test_failed_cell_is_data_not_crash(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -426,6 +440,28 @@ class TestReportArtifacts:
 
         for freq in (2, 5, 19):
             assert (tmp_path / f"component_{freq}hz.csv").is_file()
+
+    def test_file_run_summary_has_one_row_per_mode(self, tmp_path):
+        spec = ExperimentSpec(generator="file", input_path="capture.csv",
+                              configs=(DecompositionConfig(alpha=2.0, n_modes=3),))
+        cells = (
+            CellResult(snr_db=None, seed=None, alpha=2.0, diff_order=1, theta=0.85,
+                       n_modes=3, measure="spectral", success=True, error=None,
+                       wall_ms=1.5, mode_peaks_hz=(0.25, 1.5, None),
+                       band_labels=("respiration", "heartbeat", "")),
+            CellResult(snr_db=None, seed=None, alpha=2.0, diff_order=2, theta=0.85,
+                       n_modes=3, measure="spectral", success=False,
+                       error="NumericalError: synthetic failure", wall_ms=0.5),
+        )
+        paths = write_report(ExperimentReport(spec=spec, cells=cells), tmp_path)
+        # the truth columns of a file run are blank; a failed cell gets one blank row
+        assert paths["summary"].read_text().splitlines()[1:] == [
+            ",,2.0,1,spectral,,,0.25,,,1.5",
+            ",,2.0,1,spectral,,,1.5,,,1.5",
+            ",,2.0,1,spectral,,,,,,1.5",
+            ",,2.0,2,spectral,,,,,,0.5",
+        ]
+        assert set(paths) == {"report", "summary"}
 
     def test_empty_cells_valid_report(self, tmp_path):
         spec = sine_spec()

@@ -147,8 +147,9 @@ class TestSynth:
             assert (tmp_path / f"noisy_truth_{i:02d}.csv").is_file()
             assert (tmp_path / f"noisy_truth_{i:02d}.json").is_file()
 
-    @pytest.mark.parametrize("snr", ["-4000", "4000"])
+    @pytest.mark.parametrize("snr", ["-4000", "4000", "inf", "1e999"])
     def test_snr_past_float_range_exits_2(self, tmp_path, capsys, snr):
+        # at +inf dB the noise is 0, and the file was once the clean mixture
         out = tmp_path / "x.csv"
         assert run_cli("synth", "sine3", "--snr", snr, "--out", str(out)) == 2
         assert "snr_db" in capsys.readouterr().err and not out.exists()
@@ -162,6 +163,18 @@ class TestSynth:
         code = run_cli("synth", "sine3", "--duration", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("flag", ["--freqs=-1,5,19", "--amps=3,-0.5,4"])
+    def test_negative_frequency_or_amplitude_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", "sine3", flag, "--out", str(out)) == 2
+        assert "must be >= 0" in capsys.readouterr().err and not out.exists()
+
+    def test_unparsable_number_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "sine3", "--freqs", "1,x", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "expected comma-separated numbers, got '1,x'" in capsys.readouterr().err
 
     def test_mismatched_params_exit_2(self, tmp_path):
         code = run_cli(
@@ -292,6 +305,19 @@ class TestDecompose:
         assert peaks["huge"] == peaks["unit"]
         # gamma and energy of the 1e200 tone are past the float64 range: null
         assert all(m["gamma"] is None and m["energy"] is None for m in doc["modes"])
+
+    def test_mode_past_the_float_range_exits_4(self, tmp_path, capsys):
+        # the fundamental of a square wave is 4 / pi times its height: at 1.7e308
+        # the mode leaves the float64 range, though every sample is finite
+        t = np.arange(2000) / 100.0
+        path = tmp_path / "square.csv"
+        write_timeseries_csv(TimeSeries(np.where(np.sin(2 * np.pi * t + 0.1) > 0, 1.7e308,
+                                                 -1.7e308), 100.0), path)
+        code = run_cli("decompose", str(path), "--sample-rate", "100", "-r", "1",
+                       "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "exceeds the float64 range" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag,value,name", [
         ("--theta", "2", "merge_threshold"), ("--alpha", "-1", "alpha"),
@@ -455,6 +481,17 @@ class TestBench:
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 0
         assert "1 cell(s), 0 failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    def test_file_spec_at_a_subnormal_rate_exits_2(self, tone_file, tmp_path, capsys, rate):
+        # 1 / rate overflows, so every mode once reported 0 Hz and the command exited 0
+        doc = {"generator": "file", "input_path": str(tone_file), "sample_rate_hz": rate,
+               "configs": [{"alpha": 1.0}]}
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "frequency grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         doc = {
             "generator": "sine-mixture",
@@ -491,6 +528,15 @@ class TestBench:
         path.write_text(json.dumps(doc))
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "bad experiment spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        doc = {"generator": "sine-mixture", "snr_db": [0.0], "seeds": [0], "configs": [5]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "rmd bench: bad experiment spec: a config must be an object, got 5\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fields", [

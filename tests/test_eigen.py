@@ -495,9 +495,9 @@ class TestLapackCalls:
         band = augmented(smoothing_matrix(diff_operator(order, K)), alpha)
         U = eigen._band_cholesky(band)
         assert np.array_equal(U, sla.cholesky_banded(band))
-        H = eigen._band_solve(U, G.T, b"T")
+        H = eigen._band_solve(U, G.T, "T")
         assert np.array_equal(H, sla.lapack.dtbtrs(U, G.T, trans="T")[0])
-        C = eigen._band_solve(U, H.T, b"T")
+        C = eigen._band_solve(U, H.T, "T")
         assert np.array_equal(C, sla.lapack.dtbtrs(U, H.T, trans="T")[0])
         for top in sorted({1, max(1, K // 8), K if K <= 200 else 1}):
             ref_w, ref_Y = sla.eigh(C, driver="evr", subset_by_index=[K - top, K - 1])

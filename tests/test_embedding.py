@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from oracles import oracle_diagonal_average
 
 from rmd.embedding import (
+    MIN_SAMPLES,
+    SignalTooShortError,
     build_trajectory_matrix,
     diagonal_average,
     embedding_dim_from_peak,
@@ -42,6 +44,13 @@ class TestEmbeddingDimension:
     def test_dc_only_signal_uses_fallback(self):
         x = TimeSeries(np.ones(300), 100.0)
         assert select_embedding_dimension(x) == (100, None)
+
+    @pytest.mark.parametrize("n", [3, 8, MIN_SAMPLES - 1])
+    def test_too_short_for_a_suggestion(self, n):
+        # 3, 8 and 11 samples once gave K = 1, 2 and 3, below MIN_EMBEDDING_DIM
+        x = TimeSeries(np.sin(np.arange(n) / 2.0), 10.0)
+        with pytest.raises(SignalTooShortError, match=f"suggestion \\({n} samples\\)"):
+            select_embedding_dimension(x)
 
     def test_heuristic_on_mid_tone(self):
         mixture, _ = gen_sinusoid_mixture([SineComponent(5.0, 1.0)], 200.0, 10.0)

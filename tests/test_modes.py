@@ -619,6 +619,13 @@ class TestRmdDecompose:
                 for ma, mb in zip([*a.modes, a.residual], [*b.modes, b.residual]):
                     assert np.abs(mb.samples - ma.samples[::-1]).max() <= tol
 
+    def test_mode_past_the_float_range_raises(self):
+        # the fundamental of a square wave is 4 / pi times its 1.7e308 height
+        t = np.arange(2000) / 100.0
+        x = TimeSeries(np.where(np.sin(2 * np.pi * t + 0.1) > 0, 1.7e308, -1.7e308), 100.0)
+        with pytest.raises(NumericalError, match="exceeds the float64 range"):
+            rmd_decompose(x, DecompositionConfig(n_modes=1))
+
     def test_k_override_out_of_range(self):
         x = TimeSeries(np.arange(20, dtype=float), 1.0)
         with pytest.raises(ValueError):
@@ -757,6 +764,10 @@ class TestSsaDecompose:
         ms = ssa_decompose(tone, K=48, r=2)
         pair_sum = tone.with_samples(ms.modes[0].samples + ms.modes[1].samples)
         assert score_mode(pair_sum, tone).correlation >= 0.999
+
+    def test_no_components_rejected(self, rng):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            ssa_decompose(TimeSeries(rng.standard_normal(40), 10.0), K=8, r=0)
 
     def test_full_rank_completeness(self, rng):
         x = TimeSeries(rng.standard_normal(40), 10.0)

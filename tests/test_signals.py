@@ -58,6 +58,9 @@ class TestTimeSeries:
         assert a == TimeSeries([1.0, 2.0], 10.0)
         assert a != TimeSeries([1.0, 2.0], 20.0)
 
+    def test_not_equal_to_other_types(self):
+        assert (TimeSeries([1.0, 2.0], 10.0) == 5) is False
+
 
 class TestSinusoidMixture:
     def test_benchmark_mixture_shape(self, three_tone):
@@ -159,10 +162,11 @@ class TestAddNoise:
         _, noise = add_noise_at_snr(mixture.with_samples(c * mixture.samples), -5.0, seed=3)
         assert np.array_equal(noise.samples, c * unit.samples)
 
-    @pytest.mark.parametrize("snr", [-4000.0, -3100.0, 4000.0, -1e4, 1e4, -math.inf, math.nan])
+    @pytest.mark.parametrize("snr", [-4000.0, -3100.0, 4000.0, -1e4, 1e4, -math.inf, math.inf,
+                                     math.nan])
     def test_snr_past_float_range_rejected(self, three_tone, snr):
         # 10 ** (snr / 10) underflows to 0 (a ZeroDivisionError) or overflows; at
-        # -3100 dB sigma is inf
+        # -3100 dB sigma is inf, at +inf dB it is 0 and the noisy series would be x
         with pytest.raises(ValueError, match="snr_db"):
             add_noise_at_snr(three_tone[0], snr, 0)
 
@@ -460,6 +464,14 @@ class TestCsvRoundTrip:
         csv = tmp_path / "sig.csv"
         csv.with_suffix(".json").write_text(f'{{"sample_rate_hz": {rate}}}\n')
         assert read_sample_rate_sidecar(csv) is None
+
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    def test_rate_that_collapses_the_frequency_grid_rejected(self, tmp_path, rate):
+        # 1 / rate overflows, so every frequency bin would read 0 Hz
+        p = tmp_path / "sig.csv"
+        p.write_text("1.0\n2.0\n3.0\n4.0\n")
+        with pytest.raises(ValueError, match="collapses the frequency grid of 4 samples"):
+            read_timeseries_csv(p, rate)
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "sig.csv"
