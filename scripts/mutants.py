@@ -94,12 +94,25 @@ MUTANTS = [
      "    if args.seed < 0:", "    if args.seed < -1:", "test_cli.py"),
     # each input rule in the one library function every front end calls
     ("a collapsed frequency grid read", "signals.py",
-     "1.0 / x.sample_rate)) > 0).all():", "1.0 / x.sample_rate)) >= 0).all():",
+     "        if not math.isfinite(len(self) * (1.0 / self.sample_rate)):", "        if False:",
      "test_signals.py"),
     ("zero noise accepted", "signals.py",
      "    if not 0 < sigma < math.inf:", "    if not sigma < math.inf:", "test_signals.py"),
     ("K suggested for a short series", "embedding.py",
      "    if len(x) < MIN_SAMPLES:", "    if False:", "test_embedding.py"),
+    # the sample rate of a file, from the flag, the spec or the sidecar
+    ("the reader ignores the sidecar", "signals.py",
+     "rate = read_sample_rate_sidecar(path) if sample_rate_hz is None",
+     "rate = None if sample_rate_hz is None", "test_signals.py"),
+    ("a file spec without a rate runs at 200 Hz", "bench.py",
+     '            doc.setdefault("sample_rate_hz", None)\n', "            pass\n", "test_cli.py"),
+    ("a synthetic spec's null rate accepted", "bench.py",
+     'sidecar_rate = self.generator == "file" and self.sample_rate_hz is None',
+     "sidecar_rate = self.sample_rate_hz is None", "test_bench.py"),
+    # a negative value after a flag is the flag's
+    ("negative values read as flags", "cli.py",
+     '        tokens.append(f"{tokens.pop()}={token}" if bind else token)',
+     "        tokens.append(token)", "test_cli.py"),
     # statements that only these tests reach
     ("file-run summary rows dropped", "bench.py",
      "        elif cell.success:", "        elif False:", "test_bench.py"),

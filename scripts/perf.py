@@ -14,6 +14,9 @@ Cases:
   cli_file_write  write_modeset of its decomposition (mode and residual CSVs, JSON)
   cold_cli     the same decompose as cli_file, as a fresh `python -m rmd`
                process: interpreter start-up and `import rmd` included
+  import_rmd   a fresh `python -c "import rmd"`, from its start until the import
+               returns (the child's CLOCK_MONOTONIC stamp), without its exit: the
+               setup_s of perfbench/run.py
 
 It times whichever ``rmd`` package the interpreter imports, so the same script
 measures any checkout:
@@ -25,8 +28,8 @@ Each call appends one run (label, BLAS vendor, thread setting, core count and
 per-case median, quartiles and sample count, in ms) to the ``runs`` list of
 the output file, creating it if needed.  Each case also records
 ``peak_alloc_mb``, the ``tracemalloc`` peak of one extra untimed run (NumPy
-reports its array buffers to tracemalloc); it is null for cold_cli, whose
-work is done in the child process.  BLAS is pinned to one thread
+reports its array buffers to tracemalloc); it is null for cold_cli and
+import_rmd, whose work is done in a child process.  BLAS is pinned to one thread
 unless OPENBLAS_NUM_THREADS is already set.
 """
 
@@ -105,6 +108,13 @@ def _cases(out: Path):
         subprocess.run([sys.executable, "-m", "rmd", *argv], env=env, check=True,
                        stdout=subprocess.DEVNULL, timeout=120)
 
+    def import_rmd():
+        code = "import time, rmd; print(repr(time.clock_gettime(time.CLOCK_MONOTONIC)))"
+        t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
+        child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True, timeout=60)
+        return (float(child.stdout) - t0) * 1e3
+
     return {
         "minus5db": (lambda: rmd_decompose(m5, cfg5), 15),
         "minus15db": (lambda: rmd_decompose(m15, cfg15), 15),
@@ -115,6 +125,7 @@ def _cases(out: Path):
         "cli_file_read": (lambda: read_timeseries_csv(csv, 100.0), 25),
         "cli_file_write": (lambda: write_modeset(modeset, out / "cli_file_write"), 25),
         "cold_cli": (cold_cli, 7),
+        "import_rmd": (import_rmd, 15),
     }
 
 
@@ -140,11 +151,12 @@ def measure() -> dict:
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                run()
-                times.append((time.perf_counter() - t0) * 1e3)
+                took = run()
+                # import_rmd returns its own ms: the child's, without the child's exit
+                times.append(took if name == "import_rmd" else (time.perf_counter() - t0) * 1e3)
             q1, med, q3 = np.percentile(times, [25, 50, 75])
             peak = None
-            if name != "cold_cli":
+            if name not in ("cold_cli", "import_rmd"):
                 tracemalloc.start()
                 try:
                     run()

@@ -84,17 +84,18 @@ class ExperimentSpec:
     """Declarative description of one experiment sweep.
 
     Synthetic generators draw a fresh noise realization per (snr, seed) and
-    decompose it once per configuration.  ``file`` runs skip noise
-    injection and scoring and simply decompose the ingested signal.  Every
-    configuration is stored with ``embedding_dim`` as its ``K_override``, so
-    one that the config rejects is rejected here, before any cell runs.
+    decompose it once per configuration.  ``file`` runs skip noise injection
+    and scoring and decompose the file as read, at its sidecar's rate where
+    ``sample_rate_hz`` is None.  Every configuration is stored with
+    ``embedding_dim`` as its ``K_override``, so one that the config rejects
+    is rejected here, before any cell runs.
     """
 
     generator: str
     snr_db: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     configs: tuple[DecompositionConfig, ...] = ()
-    sample_rate_hz: float = 200.0
+    sample_rate_hz: float | None = 200.0
     duration_s: float = 10.0
     embedding_dim: int | None = 200
     # sine-mixture parameters
@@ -126,8 +127,10 @@ class ExperimentSpec:
         object.__setattr__(self, "amplitudes", _listed("amplitudes", self.amplitudes))
         if self.phases is not None:
             object.__setattr__(self, "phases", _listed("phases", self.phases))
+        sidecar_rate = self.generator == "file" and self.sample_rate_hz is None
         for name in ("sample_rate_hz", "duration_s", "f1_hz", "f2_hz", "f3_hz", "f_mod_hz"):
-            checked(name, getattr(self, name), "number")
+            if not (sidecar_rate and name == "sample_rate_hz"):
+                checked(name, getattr(self, name), "number")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if not self.configs:
@@ -153,6 +156,8 @@ class ExperimentSpec:
         ValueError; an unknown spec key or a config that is not an object, TypeError.
         """
         doc = dict(doc)
+        if doc.get("generator") == "file":  # no rate: the reader takes the sidecar's
+            doc.setdefault("sample_rate_hz", None)
         configs = checked("configs", doc.pop("configs", None), "list")
         return ExperimentSpec(configs=tuple(map(_config_from_dict, configs)), **doc)
 
@@ -441,8 +446,6 @@ def _csv_field(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,9 +33,7 @@ from .signals import (
     gen_am_mixture,
     gen_sinusoid_mixture,
     periodogram,
-    read_sample_rate_sidecar,
     read_timeseries_csv,
-    sidecar_path,
     write_sample_rate_sidecar,
     write_spectrum_csv,
     write_timeseries_csv,
@@ -53,6 +52,9 @@ _EXIT_CODES = (
     ((ValueError, TypeError, OverflowError), EXIT_USAGE),
 )
 _MAPPED = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+# argparse takes a negative value not shaped like -5 or -0.5 (-1e1, -inf, -1,5,19) for a flag
+_FLAG, _NEGATIVE = re.compile(r"--?[A-Za-z][\w-]*"), re.compile(r"-(\d|\.\d|inf|nan)", re.I)
 
 
 def _float_list(text: str) -> list[float]:
@@ -113,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f3", type=float, default=31.0, help="am: cosine carrier Hz")
     p.add_argument("--f-mod", type=float, default=0.5, help="am: modulation frequency Hz")
     p.add_argument("--snr", type=float, default=None,
-                   help="add white noise at this SNR in dB")
+                   help="add white noise at this SNR in dB, such as 10, -5 or -1e1")
     p.add_argument("--seed", type=int, default=0, help="noise generator seed")
     p.add_argument("--out", required=True, help="output CSV path")
 
@@ -136,13 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_series(path: str, rate: float | None):
-    if rate is None:
-        rate = read_sample_rate_sidecar(path)
-        if rate is None:
-            raise ValueError(f"no --sample-rate given and no usable sidecar {sidecar_path(path)}")
-    elif not (math.isfinite(rate) and rate > 0):
+    # the flag checked first, so a bad --sample-rate exits 2 ahead of a missing file's 3
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
         raise ValueError("--sample-rate must be finite and positive")
-    return read_timeseries_csv(path, rate)
+    return read_timeseries_csv(path, rate)  # no flag: the sidecar's rate
 
 
 def _cmd_decompose(args) -> int:
@@ -167,11 +166,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _write_signal_with_sidecar(series, path: Path) -> None:
-    write_timeseries_csv(series, path)
-    write_sample_rate_sidecar(path, series.sample_rate)
-
-
 def _cmd_synth(args) -> int:
     if args.seed < 0:  # numpy's generators take no negative seed
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
@@ -185,18 +179,16 @@ def _cmd_synth(args) -> int:
         mixture, truths = gen_am_mixture(
             args.f1, args.f2, args.f3, args.f_mod, args.sample_rate, args.duration
         )
-    out_signal = mixture
-    if args.snr is not None:
-        out_signal, _ = add_noise_at_snr(mixture, args.snr, args.seed)
+    out_signal = mixture if args.snr is None else add_noise_at_snr(mixture, args.snr, args.seed)[0]
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    _write_signal_with_sidecar(out_signal, out)
-    if args.snr is not None:
-        for i, truth in enumerate(truths, start=1):
-            _write_signal_with_sidecar(truth, out.with_name(f"{out.stem}_truth_{i:02d}.csv"))
-    n_truth = len(truths) if args.snr is not None else 0
+    out.parent.mkdir(parents=True, exist_ok=True)
+    files = [(out_signal, out)] + [(t, out.with_name(f"{out.stem}_truth_{i:02d}.csv"))
+                                   for i, t in enumerate(truths, start=1) if args.snr is not None]
+    for series, path in files:
+        write_timeseries_csv(series, path)
+        write_sample_rate_sidecar(path, series.sample_rate)
+    n_truth = len(files) - 1
     print(f"wrote {out} ({len(out_signal)} samples at {out_signal.sample_rate:g} Hz"
           + (f", {n_truth} truth component files" if n_truth else "") + ")")
     return EXIT_OK
@@ -249,7 +241,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        bind = tokens and _FLAG.fullmatch(tokens[-1]) and _NEGATIVE.match(token)
+        tokens.append(f"{tokens.pop()}={token}" if bind else token)
+    args = _build_parser().parse_args(tokens)
     try:
         return _COMMANDS[args.command](args)
     except _MAPPED as exc:

@@ -54,7 +54,7 @@ class TimeSeries:
     samples : array_like
         The sample values. At least two are required and all must be finite.
     sample_rate : float
-        Sampling frequency in Hz, strictly positive and finite.
+        Sampling frequency in Hz, finite and positive, with N * (1 / rate) finite too.
     """
 
     samples: np.ndarray
@@ -70,6 +70,10 @@ class TimeSeries:
             raise ValueError("time series samples must all be finite")
         if not math.isfinite(self.sample_rate) or self.sample_rate <= 0:
             raise ValueError("sample_rate must be finite and positive")
+        # rfftfreq's bin width is 1 / (N * (1 / rate)): past the float64 range, all read 0 Hz
+        if not math.isfinite(len(self) * (1.0 / self.sample_rate)):
+            raise ValueError(f"sample rate {self.sample_rate:g} Hz collapses the frequency grid "
+                             f"of {len(self)} samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -321,8 +325,8 @@ def score_mode(candidate: TimeSeries, truth: TimeSeries) -> ModeMetrics:
 # ---------------------------------------------------------------------------
 # CSV format: optional header; either one value per line or two columns
 # `time,value` (the time column is only validated for uniform spacing).
-# The sample rate travels out of band: a flag, or a sidecar JSON file
-# `{"sample_rate_hz": <number>}`.
+# The sample rate travels out of band: given to the reader, or read from a
+# sidecar JSON file `{"sample_rate_hz": <number>}`.
 
 
 def _parse_rows(rows: list[str], ncols: int) -> np.ndarray | None:
@@ -366,8 +370,8 @@ def _raise_at_bad_line(path: Path, lines: list[str], skip: int, ncols: int) -> N
     raise AssertionError("no malformed line to report")
 
 
-def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
-    """Read a signal CSV file.
+def read_timeseries_csv(path: str | Path, sample_rate_hz: float | None = None) -> TimeSeries:
+    """Read a signal CSV file at ``sample_rate_hz``, or where that is None at its sidecar's.
 
     The file is read and split once, and every field parsed in one pass;
     only a malformed file is walked line by line, to name the line.
@@ -381,9 +385,12 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
     OSError
         If the file cannot be read.
     ValueError
-        If the rate is not finite and positive, or so small that 1 / rate or
-        N / rate leaves the float64 range and every frequency bin reads 0 Hz.
+        If no rate is given and the sidecar is missing or unusable (checked
+        before the file is read), or if ``TimeSeries`` refuses the rate.
     """
+    rate = read_sample_rate_sidecar(path) if sample_rate_hz is None else sample_rate_hz
+    if rate is None:
+        raise ValueError(f"no sample rate given and no usable sidecar {sidecar_path(path)}")
     path = Path(path)
     try:
         # a leading byte-order mark is dropped; \r\n and \r read as \n
@@ -416,11 +423,7 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float) -> TimeSeries:
         ref = float(np.mean(dt))
         if ref <= 0 or np.max(np.abs(dt - ref)) > 1e-6 * abs(ref):
             raise CsvFormatError(f"{path}: time column is not uniformly spaced")
-    x = TimeSeries(table[:, -1], sample_rate_hz)
-    if not (np.diff(np.fft.rfftfreq(len(x), 1.0 / x.sample_rate)) > 0).all():
-        raise ValueError(f"sample rate {x.sample_rate:g} Hz collapses the frequency grid "
-                         f"of {len(x)} samples")
-    return x
+    return TimeSeries(table[:, -1], rate)
 
 
 def write_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
@@ -436,10 +439,9 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-def write_sample_rate_sidecar(csv_path: str | Path, sample_rate_hz: float) -> Path:
-    p = sidecar_path(csv_path)
-    p.write_text(json.dumps({"sample_rate_hz": sample_rate_hz}) + "\n", encoding="utf-8")
-    return p
+def write_sample_rate_sidecar(csv_path: str | Path, sample_rate_hz: float) -> None:
+    sidecar_path(csv_path).write_text(json.dumps({"sample_rate_hz": sample_rate_hz}) + "\n",
+                                      encoding="utf-8")
 
 
 def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:

@@ -29,6 +29,7 @@ from rmd.signals import (
     gen_sinusoid_mixture,
     read_timeseries_csv,
     unit_scaled,
+    write_sample_rate_sidecar,
     write_timeseries_csv,
 )
 
@@ -345,6 +346,18 @@ class TestFileExperiment:
         assert cell.success
         assert "respiration" in cell.band_labels
         assert "heartbeat" in cell.band_labels
+
+    def test_spec_without_a_rate_reads_the_sidecar_and_round_trips(self, tmp_path):
+        mixture, _ = gen_sinusoid_mixture([SineComponent(1.5, 1.0)], 100.0, 4.0)
+        path = tmp_path / "capture.csv"
+        write_timeseries_csv(mixture, path)
+        write_sample_rate_sidecar(path, 100.0)
+        spec = ExperimentSpec.from_dict({"generator": "file", "input_path": str(path),
+                                         "embedding_dim": 80, "configs": [{"alpha": 1.0}]})
+        assert spec.sample_rate_hz is None
+        report = run_experiment(spec)
+        assert report.cells[0].mode_peaks_hz[0] == 1.5
+        assert ExperimentReport.from_json(report.to_json()) == report
 
     @pytest.mark.parametrize("peak, label", [
         (None, ""), (0.05, ""), (0.1, "respiration"), (0.5, "respiration"), (0.65, ""),

@@ -26,6 +26,7 @@ from rmd.signals import (
     add_noise_at_snr,
     gen_sinusoid_mixture,
     read_timeseries_csv,
+    write_sample_rate_sidecar,
     write_timeseries_csv,
 )
 
@@ -170,6 +171,29 @@ class TestSynth:
         assert run_cli("synth", "sine3", flag, "--out", str(out)) == 2
         assert "must be >= 0" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-1e1", "-5", "-1E+1"])
+    def test_negative_value_binds_to_its_flag(self, tmp_path, snr):
+        # argparse alone read -1e1 as a flag and exited 2 with "expected one argument"
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run_cli("synth", "sine3", "--snr", snr, "--out", str(spaced)) == 0
+        assert run_cli("synth", "sine3", f"--snr={snr}", "--out", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "sine3", "--snr", "-inf"], "noise at snr_db=-inf is outside the float64 range"),
+        (["synth", "sine3", "--freqs", "-1,5,19"], "frequency must be >= 0"),
+        (["synth", "sine3", "--freqs", "-1,x"], "expected comma-separated numbers, got '-1,x'"),
+    ])
+    def test_negative_value_reaches_its_own_check(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        try:
+            code = run_cli(*argv, "--out", str(out))
+        except SystemExit as exc:  # argparse's own exit, for a value its type refuses
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "expected one argument" not in err and not out.exists()
+
     def test_unparsable_number_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("synth", "sine3", "--freqs", "1,x", "--out", str(tmp_path / "x.csv"))
@@ -229,6 +253,25 @@ class TestDecompose:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"rmd decompose: {path}: ") and err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "-1e-3", "alpha must be finite and >= 0"),
+        ("-K", "-5", "K_override must be >= 2"),
+        ("--sample-rate", "-inf", "--sample-rate must be finite and positive"),
+    ])
+    def test_negative_value_reaches_its_own_check(self, tone_file, tmp_path, capsys,
+                                                  flag, value, message):
+        code = run_cli("decompose", str(tone_file), "-r", "1", flag, value,
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"rmd decompose: {message}")
+
+    def test_negative_value_after_a_switch_exits_2(self, tone_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("decompose", str(tone_file), "-r", "1", "--shrinkage", "-5",
+                    "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "--shrinkage" in capsys.readouterr().err and not (tmp_path / "o").exists()
 
     def test_negative_alpha_exits_2(self, tone_file, tmp_path, capsys):
         code = run_cli(
@@ -491,6 +534,36 @@ class TestBench:
         assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
         assert "frequency grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.fixture()
+    def two_tone_spec(self, tmp_path):
+        """A 100 Hz 1.5 + 7 Hz file with its sidecar, and a file spec for it as a dict."""
+        path = tmp_path / "two.csv"
+        t = np.arange(2000) / 100.0
+        x = TimeSeries(np.sin(2 * np.pi * 1.5 * t) + 0.7 * np.sin(2 * np.pi * 7.0 * t), 100.0)
+        write_timeseries_csv(x, path)
+        write_sample_rate_sidecar(path, 100.0)
+        return {"generator": "file", "input_path": str(path), "embedding_dim": 80,
+                "configs": [{"alpha": 1.0, "n_modes": 2}]}
+
+    @pytest.mark.parametrize("rate, peaks", [("absent", [1.5, 7.0]), (None, [1.5, 7.0]),
+                                             (50.0, [0.75, 3.5])])
+    def test_file_spec_rate_or_sidecar(self, two_tone_spec, tmp_path, rate, peaks):
+        # without a rate, the spec once ran at the 200 Hz default and reported 3 and 14 Hz
+        doc = two_tone_spec if rate == "absent" else {**two_tone_spec, "sample_rate_hz": rate}
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert sorted(report["cells"][0]["mode_peaks_hz"]) == peaks
+
+    def test_file_spec_without_any_rate_exits_2(self, two_tone_spec, tmp_path, capsys):
+        Path(two_tone_spec["input_path"]).with_suffix(".json").unlink()
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(two_tone_spec))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "no usable sidecar" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         doc = {

@@ -1,4 +1,5 @@
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -60,6 +61,32 @@ class TestTimeSeries:
 
     def test_not_equal_to_other_types(self):
         assert (TimeSeries([1.0, 2.0], 10.0) == 5) is False
+
+    def test_rate_that_collapses_the_frequency_grid_rejected(self):
+        # 1 / rate overflows, so every frequency bin would read 0 Hz
+        with pytest.raises(ValueError, match="collapses the frequency grid of 4 samples"):
+            TimeSeries(np.ones(4), 1e-310)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 2000, 2048, 65537, 10**6])
+    def test_grid_rule_matches_rfftfreq(self, n):
+        # rates up to 12 ULPs either side of the one where N * (1 / rate) overflows, of
+        # that rate times 1 -+ 1e-12, 1/2 and 2, subnormal rates, and the largest rates
+        edge = n / sys.float_info.max
+        rates = {edge, 5e-324, 1e-320, 1e-310, sys.float_info.min, 1.7e308, sys.float_info.max}
+        for r in (edge, edge * (1 - 1e-12), edge * (1 + 1e-12), edge / 2, edge * 2):
+            rates.update(float(r + step * np.spacing(r)) for step in range(-12, 13))
+        samples = np.zeros(n)
+        outcomes = set()
+        for rate in sorted(rates):
+            grid = bool((np.diff(np.fft.rfftfreq(n, 1.0 / rate)) > 0).all())
+            try:
+                TimeSeries(samples, rate)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == grid, rate
+            outcomes.add(grid)
+        assert outcomes == {True, False}
 
 
 class TestSinusoidMixture:
@@ -464,6 +491,24 @@ class TestCsvRoundTrip:
         csv = tmp_path / "sig.csv"
         csv.with_suffix(".json").write_text(f'{{"sample_rate_hz": {rate}}}\n')
         assert read_sample_rate_sidecar(csv) is None
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_rate_from_the_sidecar(self, tmp_path, bom):
+        p = tmp_path / "sig.csv"
+        p.write_text("1.0\n2.0\n3.0\n")
+        p.with_suffix(".json").write_bytes(bom + b'{"sample_rate_hz": 250.0}\n')
+        assert read_timeseries_csv(p) == TimeSeries([1.0, 2.0, 3.0], 250.0)
+        assert read_timeseries_csv(p, 100.0).sample_rate == 100.0  # a given rate wins
+
+    @pytest.mark.parametrize("sidecar", [None, '{"sample_rate_hz": 0}\n'], ids=["none", "zero"])
+    def test_no_rate_and_no_usable_sidecar_rejected(self, tmp_path, sidecar):
+        p = tmp_path / "sig.csv"
+        p.write_text("1.0\n2.0\n3.0\n")
+        if sidecar is not None:
+            p.with_suffix(".json").write_text(sidecar)
+        with pytest.raises(ValueError,
+                           match="^no sample rate given and no usable sidecar .*sig.json"):
+            read_timeseries_csv(p)
 
     @pytest.mark.parametrize("rate", [1e-310, 5e-324])
     def test_rate_that_collapses_the_frequency_grid_rejected(self, tmp_path, rate):
