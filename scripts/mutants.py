@@ -73,6 +73,15 @@ MUTANTS = [
      'range="I", lower=1,', 'range="I", lower=0,', "test_eigen.py"),
     ("default dsyevr workspace", "eigen.py",
      " lwork=int(work), liwork=iwork,", "", "test_eigen.py"),
+    # the reduction to C = U^-T G U^-1 by blocks
+    ("block coupling dropped", "eigen.py",
+     "                    rows[r] -= U[:k - r, s + r] @ X[s - k + r:s, lo:]\n",
+     "                    pass\n", "test_eigen.py"),
+    ("second pass a row short of the block", "eigen.py",
+     "            lo = s if trapezoid else 0", "            lo = s + 1 if trapezoid else 0",
+     "test_eigen.py"),
+    ("reduced matrix unchecked", "eigen.py",
+     "    if not np.isfinite(Ct).all():", "    if False:", "test_eigen.py"),
     # the one type rule for values read from outside
     ("a bool passes as a number", "signals.py",
      'kind in ("integer", "number") and isinstance(value, bool)',
@@ -109,6 +118,9 @@ MUTANTS = [
     ("a synthetic spec's null rate accepted", "bench.py",
      'sidecar_rate = self.generator == "file" and self.sample_rate_hz is None',
      "sidecar_rate = self.sample_rate_hz is None", "test_bench.py"),
+    ("the report keeps a file spec's null rate", "bench.py",
+     "        spec = replace(spec, sample_rate_hz=clean.sample_rate)\n", "        pass\n",
+     "test_bench.py"),
     # a negative value after a flag is the flag's
     ("negative values read as flags", "cli.py",
      '        tokens.append(f"{tokens.pop()}={token}" if bind else token)',

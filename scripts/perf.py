@@ -5,6 +5,9 @@ Cases:
   minus5db     three-tone 2/5/19 Hz mixture at -5 dB, N=2000, K=200, r=4
   minus15db    the same mixture at -15 dB, K=200, r=8, theta=0.6
   long_window  0.3 + 1.2 Hz tones in 0 dB noise, N=2048, K=682, r=4
+  solve_200    solve_generalized alone on the Gram matrix of the minus5db
+               series at K=200: alpha 8, order 1, the 32 pairs r=4 asks for
+  solve_682    the same on the long_window series at K=682, alpha 2
   sine_snr     specs/sine_snr.json through run_experiment and write_report
   nonlinear    specs/nonlinear.json through run_experiment and write_report
   cli_file     rmd.cli.main(["decompose", f, "-r", "3", "--out", d]), stdout
@@ -56,6 +59,8 @@ def _cases(out: Path):
 
     from rmd.bench import ExperimentSpec, run_experiment, write_report
     from rmd.cli import main
+    from rmd.eigen import gram, solve_generalized
+    from rmd.embedding import build_trajectory_matrix
     from rmd.modes import DecompositionConfig, rmd_decompose, write_modeset
     from rmd.signals import (
         SineComponent,
@@ -76,6 +81,8 @@ def _cases(out: Path):
     cfg5 = DecompositionConfig(n_modes=4, alpha=8.0, K_override=200)
     cfg15 = DecompositionConfig(n_modes=8, alpha=10.0, merge_threshold=0.6, K_override=200)
     cfg_long = DecompositionConfig(n_modes=4, alpha=2.0, K_override=682)
+    G200 = gram(build_trajectory_matrix(m5, 200))
+    G682 = gram(build_trajectory_matrix(radar, 682))
     specs = {name: ExperimentSpec.from_dict(json.loads((SPECS / f"{name}.json").read_text()))
              for name in ("sine_snr", "nonlinear")}
 
@@ -119,6 +126,8 @@ def _cases(out: Path):
         "minus5db": (lambda: rmd_decompose(m5, cfg5), 15),
         "minus15db": (lambda: rmd_decompose(m15, cfg15), 15),
         "long_window": (lambda: rmd_decompose(radar, cfg_long), 15),
+        "solve_200": (lambda: solve_generalized(G200, 8.0, 1, n_pairs=32), 25),
+        "solve_682": (lambda: solve_generalized(G682, 2.0, 1, n_pairs=32), 15),
         "sine_snr": (sweep("sine_snr"), 7),
         "nonlinear": (sweep("nonlinear"), 7),
         "cli_file": (cli_file, 25),

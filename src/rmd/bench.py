@@ -392,7 +392,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     the modes against the ground truth; the AM component additionally gets a
     sideband-presence check.  A file is decomposed as read, once per
     configuration, and its cells carry the per-mode peaks and physiological
-    band annotations only.  A failed decomposition is recorded in its cell.
+    band annotations only; a file spec without a rate is reported with the rate
+    the reader resolved.  A failed decomposition is recorded in its cell.
 
     The noise draws and the truths' profile are made first, in the caller;
     the cells then run on a thread pool with one worker per usable core (at
@@ -402,6 +403,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     not yet started.
     """
     clean, truths = _source(spec)
+    if spec.sample_rate_hz is None:  # the report records the rate the sidecar gave
+        spec = replace(spec, sample_rate_hz=clean.sample_rate)
     if truths is None:
         draws, profile = [(None, None, clean)], None
     else:

@@ -6,14 +6,16 @@ R = D^T D penalizes rough eigenvectors through a finite-difference stencil D.
 No K x K copy of D, R or M = I + alpha R is formed: D is built in diagonal
 storage and R and M, which are banded, in LAPACK band storage.  M is factored
 in its band (M = U^T U, LAPACK dpbtrf) and the problem reduced to the standard
-one U^-T G U^-1 y = gamma y by banded triangular solves (dtbtrs); G, the first
-solve's result and that matrix are the only K x K arrays.  One symmetric
-eigensolve returns the top m eigenpairs, held as arrays: ``rmd_decompose`` asks
-for m = min(K, 8 n_modes), since clustering reads only the leading pairs.
-LAPACK dsyevr computes just those m when 8 m <= K; otherwise syevd, called
-through numpy.linalg.eigh, computes all K and the top m are kept.  Either
-driver's tridiagonalization is the only O(K^3) step; G, the reduction and each
-||D v||^2 cost O(K^2) or O(K m).
+one C y = gamma y, C = U^-T G U^-1, by blocks of 16 rows: the inverse of each
+diagonal block of U^T, from one small banded triangular solve (dtbtrs), takes
+that block in one matrix product (numpy.matmul, BLAS level 3).  G, U^-T G and
+the lower trapezoid of C, built in the Fortran order the eigensolvers read,
+are the only K x K arrays.  One symmetric eigensolve returns the top m
+eigenpairs, held as arrays: ``rmd_decompose`` asks for m = min(K, 8 n_modes),
+since clustering reads only the leading pairs.  LAPACK dsyevr computes just
+those m when 8 m <= K; otherwise syevd, called through numpy.linalg.eigh,
+computes all K and the top m are kept.  Either driver's tridiagonalization is
+the only O(K^3) step; G, the reduction and each ||D v||^2 cost O(K^2) or O(K m).
 
 dpbtrf, dtbtrs and dsyevr are called through scipy's f2py wrappers in
 scipy.linalg._flapack, the module behind scipy.linalg.lapack.  It is loaded
@@ -169,6 +171,47 @@ def _band_solve(U: np.ndarray, B: np.ndarray, trans: str = "N") -> np.ndarray:
     return X
 
 
+# rows per block of the reduction: each block's triangle is inverted whole
+_BLOCK = 16
+
+
+def _reduce(G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The lower trapezoid of C = U^-T G U^-1, Fortran-ordered, for G symmetric and
+    U as ``_band_cholesky`` returns it; C's entries above the diagonal blocks are 0.
+
+    The rows are split into blocks [s, e) of ``_BLOCK``, and T_s, the inverse of
+    U^T[s:e, s:e], comes from one small ``_band_solve`` on U's column slice, which
+    is that diagonal block in band storage.  U^T is lower triangular with ``order``
+    subdiagonals, so block s of X = U^-T B is T_s (B[s:e] - coupling), the
+    coupling reaching only the block's first ``order`` rows: row s + r less
+    U[s - k + c, s + r] X[s - k + c] for c >= r, k = order.  Y = U^-T G is solved
+    whole, then C^T = U^-T Y^T on the columns s: of each block of rows, the lower
+    trapezoid the eigensolvers read; each block is one matrix product.  A C that
+    is not finite there raises NumericalError.
+    """
+    K, k = G.shape[0], U.shape[0] - 1
+    blocks = [(s, min(K, s + _BLOCK)) for s in range(0, K, _BLOCK)]
+    inverses = [_band_solve(U[:, s:e], np.eye(e - s), "T") for s, e in blocks]
+
+    def solve(B: np.ndarray, trapezoid: bool) -> np.ndarray:
+        X = np.zeros((K, K))
+        for (s, e), T in zip(blocks, inverses):
+            lo = s if trapezoid else 0
+            rows = B[s:e, lo:]
+            if s:
+                rows = rows.copy()
+                for r in range(min(k, e - s)):
+                    rows[r] -= U[:k - r, s + r] @ X[s - k + r:s, lo:]
+            np.matmul(T, rows, out=X[s:e, lo:])
+        return X
+
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below reports them
+        Ct = solve(solve(G, False).T, True)
+    if not np.isfinite(Ct).all():
+        raise NumericalError("generalized eigensolver failed: the reduced matrix is not finite")
+    return Ct.T
+
+
 def _syevr(C: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top`` largest eigenvalues, ascending, and their eigenvectors of the
     symmetric K x K C by dsyevr on its lower triangle, with the workspace sized as
@@ -191,10 +234,11 @@ def solve_generalized(
     symmetric K x K Gram matrix, as ``gram`` returns it.
 
     M is built in its band, and its band Cholesky factor, M = U^T U, reduces
-    the problem to the symmetric C = U^-T G U^-1 by two banded triangular
-    solves in O(K^2 order), and v = U^-1 y (Golub & Van Loan, Matrix
-    Computations, 8.7); G, the first solve's result and C are the only K x K
-    arrays.  With m = min(K, n_pairs), C y = gamma y is solved for its m
+    the problem to the symmetric C = U^-T G U^-1, and v = U^-1 y (Golub & Van
+    Loan, Matrix Computations, 8.7).  ``_reduce`` forms the lower triangle of
+    C from the inverses of U's 16 x 16 diagonal blocks in two passes of
+    matrix products, O(16 K^2); G, U^-T G and C are the only K x K arrays.
+    With m = min(K, n_pairs), C y = gamma y is solved for its m
     largest pairs by LAPACK dsyevr when 8 m <= K and otherwise by syevd through
     ``numpy.linalg.eigh``, keeping the top m of its K pairs; both return the
     same pairs, and the cheaper driver is picked.  Each vector is rescaled to
@@ -209,14 +253,12 @@ def solve_generalized(
     K = G.shape[0]
     top = K if n_pairs is None else min(K, n_pairs)
     U = _band_cholesky(augmented(smoothing_matrix(diff_operator(order, K)), alpha))
-    # G is symmetric, so G.T is the same matrix in the Fortran order LAPACK reads;
-    # C = U^-T (U^-T G)^T = U^-T G U^-1
-    C = _band_solve(U, _band_solve(U, G.T, "T").T, "T")
+    C = _reduce(G, U)
     try:
-        C = np.asarray_chkfinite(C)
-        # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve
+        # syevr pays per pair computed; below K/8 pairs it beats syevd's full solve;
+        # both read C's lower triangle only
         w, Y = _syevr(C, top) if 8 * top <= K else np.linalg.eigh(C)
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: C not finite
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
     idx = np.argsort(-w, kind="stable")[:top]
     w = w[idx]

@@ -357,6 +357,10 @@ class TestFileExperiment:
         assert spec.sample_rate_hz is None
         report = run_experiment(spec)
         assert report.cells[0].mode_peaks_hz[0] == 1.5
+        assert report.spec.sample_rate_hz == 100.0
+        write_report(report, tmp_path / "out")
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["spec"]["sample_rate_hz"] == 100.0
         assert ExperimentReport.from_json(report.to_json()) == report
 
     @pytest.mark.parametrize("peak, label", [

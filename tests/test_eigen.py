@@ -390,6 +390,54 @@ class TestSolveGeneralized:
             solve_generalized(G, 2.0**1000, 1)
 
 
+class TestBlockedReduction:
+    """C = U^-T G U^-1 by block inverses against two banded triangular solves."""
+
+    @pytest.mark.parametrize("K, order", [
+        (K, order) for K in (2, 3, 15, 16, 17, 31, 33, 200, 682) for order in (1, 2)
+        if K > order])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.5, 1e6])
+    def test_lower_triangle_matches_two_dtbtrs(self, K, order, alpha):
+        # K = 17 and 33 at order 2 end in a one-row block, shorter than its coupling
+        rng = np.random.default_rng(K)
+        G = random_psd(rng, K)
+        G.setflags(write=False)
+        U = eigen._band_cholesky(augmented(smoothing_matrix(diff_operator(order, K)), alpha))
+        C = eigen._reduce(G, U)
+        assert C.flags.f_contiguous  # what dsyevr overwrites in place
+        H = sla.lapack.dtbtrs(U, G, trans="T")[0]
+        ref = np.tril(sla.lapack.dtbtrs(U, H.T, trans="T")[0])
+        assert np.abs(np.tril(C) - ref).max() <= 1e-13 * np.abs(ref).max()
+        if alpha == 0.0:  # M = I: C is G, bit for bit, where the eigensolvers read it
+            assert np.array_equal(np.tril(C), np.tril(G))
+
+    @pytest.mark.parametrize("K, n_pairs", [(40, None), (40, 5), (200, None), (200, 16)])
+    def test_upper_triangle_is_not_read(self, rng, monkeypatch, K, n_pairs):
+        G = random_psd(rng, K)
+        clean = solve_generalized(G, 1.5, 2, n_pairs=n_pairs)
+        reduce = eigen._reduce
+
+        def poisoned(*args):
+            C = reduce(*args)
+            C[np.triu_indices(K, 1)] = np.nan
+            return C
+
+        monkeypatch.setattr(eigen, "_reduce", poisoned)
+        basis = solve_generalized(G, 1.5, 2, n_pairs=n_pairs)
+        for name in ("gammas", "vectors", "mu", "negligible"):
+            assert np.array_equal(getattr(basis, name), getattr(clean, name))
+
+    @pytest.mark.parametrize("i, j, value", [
+        (0, 0, np.nan), (5, 3, np.nan), (39, 20, np.inf), (17, 17, -np.inf)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_gram_raises(self, rng, i, j, value, order):
+        G = random_psd(rng, 40)
+        G[i, j] = G[j, i] = value
+        for n_pairs in (None, 5):
+            with pytest.raises(NumericalError, match="reduced matrix is not finite"):
+                solve_generalized(G, 1.5, order, n_pairs=n_pairs)
+
+
 class TestTruncatedSolve:
     """``n_pairs=m`` returns the top m pairs of the full solve, by either driver."""
 
