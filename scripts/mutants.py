@@ -2,11 +2,12 @@
 """Mutation check of the tier-1 tests.
 
 Each mutant is one small source edit that the tests must notice.  For each,
-``src/``, ``tests/`` and ``specs/`` are copied to a temporary directory, the
-edit is applied there (the working tree is never touched), and the tests run
-with ``pytest -x``: first the test file most likely to fail, then, if it
-passes, the whole suite.  A mutant is killed when a test fails and survives
-when every test passes.  The unmutated copy must pass first.
+``src/``, ``tests/``, ``specs/`` and ``perfbench/`` (a test reads the names it
+wraps) are copied to a temporary directory, the edit is applied there (the
+working tree is never touched), and the tests run with ``pytest -x``: first
+the test file most likely to fail, then, if it passes, the whole suite.  A
+mutant is killed when a test fails and survives when every test passes.  The
+unmutated copy must pass first.
 
 Usage: python scripts/mutants.py
 
@@ -96,11 +97,9 @@ MUTANTS = [
      "isinstance(value, int) and False", "test_cli.py"),
     ("non-finite snr_db accepted", "bench.py",
      "            if not np.isfinite(snr):", "            if False:", "test_cli.py"),
-    ("negative seed in a spec accepted", "bench.py",
+    ("negative seed in a spec accepted", "bench.py",  # rmd synth --seed's rule too
      'if checked(name, v, "integer") < 0:', 'if checked(name, v, "integer") < -1:',
-     "test_bench.py"),
-    ("negative synth seed accepted", "cli.py",
-     "    if args.seed < 0:", "    if args.seed < -1:", "test_cli.py"),
+     "test_cli.py"),
     # each input rule in the one library function every front end calls
     ("a collapsed frequency grid read", "signals.py",
      "        if not math.isfinite(len(self) * (1.0 / self.sample_rate)):", "        if False:",
@@ -114,10 +113,14 @@ MUTANTS = [
      "rate = read_sample_rate_sidecar(path) if sample_rate_hz is None",
      "rate = None if sample_rate_hz is None", "test_signals.py"),
     ("a file spec without a rate runs at 200 Hz", "bench.py",
-     '            doc.setdefault("sample_rate_hz", None)\n', "            pass\n", "test_cli.py"),
+     '"sample_rate_hz", None if self.generator == "file" else 200.0)',
+     '"sample_rate_hz", 200.0)', "test_bench.py"),
     ("a synthetic spec's null rate accepted", "bench.py",
-     'sidecar_rate = self.generator == "file" and self.sample_rate_hz is None',
-     "sidecar_rate = self.sample_rate_hz is None", "test_bench.py"),
+     'if not (self.generator == "file" and rate is None', "if not (rate is None",
+     "test_bench.py"),
+    ("a spec's rate unchecked", "bench.py",
+     'or 0 < checked("sample_rate_hz", rate, "number") < np.inf):',
+     'or checked("sample_rate_hz", rate, "number") is rate):', "test_cli.py"),
     ("the report keeps a file spec's null rate", "bench.py",
      "        spec = replace(spec, sample_rate_hz=clean.sample_rate)\n", "        pass\n",
      "test_bench.py"),
@@ -180,9 +183,9 @@ def main() -> int:
     survivors = []
     with tempfile.TemporaryDirectory(prefix="rmd-mutants-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "specs"):
-            shutil.copytree(ROOT / part, work / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for part in ("src", "tests", "specs", "perfbench"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".perfbench"))
         shutil.copy(ROOT / "pyproject.toml", work)
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         if not _tests_pass(work, env, "tests"):

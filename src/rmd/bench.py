@@ -79,23 +79,27 @@ def _seed(name: str, v) -> int:
     return v
 
 
+_NO_RATE = object()  # sample_rate_hz not given: 200 Hz, or a file's sidecar rate
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one experiment sweep.
 
     Synthetic generators draw a fresh noise realization per (snr, seed) and
     decompose it once per configuration.  ``file`` runs skip noise injection
-    and scoring and decompose the file as read, at its sidecar's rate where
-    ``sample_rate_hz`` is None.  Every configuration is stored with
-    ``embedding_dim`` as its ``K_override``, so one that the config rejects
-    is rejected here, before any cell runs.
+    and scoring and decompose the file as read, at its sidecar's rate unless
+    ``sample_rate_hz`` is given; the synthetic ones default to 200 Hz.
+    Every configuration is stored with ``embedding_dim`` as its
+    ``K_override``, so one that the config rejects is rejected here, before
+    any cell runs.
     """
 
     generator: str
     snr_db: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     configs: tuple[DecompositionConfig, ...] = ()
-    sample_rate_hz: float | None = 200.0
+    sample_rate_hz: float | None = _NO_RATE
     duration_s: float = 10.0
     embedding_dim: int | None = 200
     # sine-mixture parameters
@@ -113,6 +117,8 @@ class ExperimentSpec:
     peak_tol_hz: float = 0.5
 
     def __post_init__(self):
+        if self.sample_rate_hz is _NO_RATE:
+            object.__setattr__(self, "sample_rate_hz", None if self.generator == "file" else 200.0)
         object.__setattr__(self, "snr_db", tuple(map(float, _listed("snr_db", self.snr_db))))
         for i, snr in enumerate(self.snr_db):
             if not np.isfinite(snr):
@@ -127,10 +133,12 @@ class ExperimentSpec:
         object.__setattr__(self, "amplitudes", _listed("amplitudes", self.amplitudes))
         if self.phases is not None:
             object.__setattr__(self, "phases", _listed("phases", self.phases))
-        sidecar_rate = self.generator == "file" and self.sample_rate_hz is None
-        for name in ("sample_rate_hz", "duration_s", "f1_hz", "f2_hz", "f3_hz", "f_mod_hz"):
-            if not (sidecar_rate and name == "sample_rate_hz"):
-                checked(name, getattr(self, name), "number")
+        rate = self.sample_rate_hz
+        if not (self.generator == "file" and rate is None
+                or 0 < checked("sample_rate_hz", rate, "number") < np.inf):
+            raise ValueError(f"sample_rate_hz must be a finite number > 0, got {rate!r}")
+        for name in ("duration_s", "f1_hz", "f2_hz", "f3_hz", "f_mod_hz"):
+            checked(name, getattr(self, name), "number")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if not self.configs:
@@ -156,8 +164,6 @@ class ExperimentSpec:
         ValueError; an unknown spec key or a config that is not an object, TypeError.
         """
         doc = dict(doc)
-        if doc.get("generator") == "file":  # no rate: the reader takes the sidecar's
-            doc.setdefault("sample_rate_hz", None)
         configs = checked("configs", doc.pop("configs", None), "list")
         return ExperimentSpec(configs=tuple(map(_config_from_dict, configs)), **doc)
 

@@ -81,12 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="signal CSV file")
     p.add_argument("--sample-rate", type=float, default=None,
                    help="sample rate in Hz (falls back to the <input>.json sidecar)")
-    p.add_argument("-r", "--modes", type=int, required=True, help="number of modes")
+    p.add_argument("-r", "--modes", dest="n_modes", metavar="MODES", type=int, required=True,
+                   help="number of modes")
     default = {f.name: f.default for f in dataclasses.fields(DecompositionConfig)}
     p.add_argument("--alpha", type=float, default=default["alpha"],
                    help="regularization factor")
-    p.add_argument("--order", type=int, choices=(1, 2), default=default["diff_order"],
-                   help="difference operator order")
+    p.add_argument("--order", dest="diff_order", type=int, choices=(1, 2),
+                   default=default["diff_order"], help="difference operator order")
     p.add_argument("--theta", type=float, default=default["merge_threshold"],
                    help="similarity merge threshold")
     p.add_argument("--measure", choices=SIMILARITY_MEASURES, default=default["similarity"],
@@ -145,16 +146,9 @@ def _load_series(path: str, rate: float | None):
 
 
 def _cmd_decompose(args) -> int:
-    # the config first, so a bad flag exits 2 ahead of a missing file's 3
-    config = DecompositionConfig(
-        n_modes=args.modes,
-        merge_threshold=args.theta,
-        alpha=args.alpha,
-        diff_order=args.order,
-        similarity=args.measure,
-        K_override=args.embedding_dim,
-        shrinkage=args.shrinkage,
-    )
+    # the config first, so a bad flag exits 2 ahead of a missing file's 3; dests are spec keys
+    config = DecompositionConfig(K_override=args.embedding_dim, **{
+        name: getattr(args, key) for key, name in bench_mod.SPEC_CONFIG_KEYS.items()})
     ms = rmd_decompose(_load_series(args.input, args.sample_rate), config)
     write_modeset(ms, args.out)
     for i, entry in enumerate(ms.report, start=1):
@@ -167,8 +161,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.seed < 0:  # numpy's generators take no negative seed
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    bench_mod._seed("--seed", args.seed)  # the spec's seed rule: numpy takes no negative seed
     if args.kind == "sine3":
         phases = args.phases or [0.0] * len(args.freqs)
         if not (len(args.freqs) == len(args.amps) == len(phases)):

@@ -112,6 +112,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"^{field} must be a number"):
             sine_spec(**{field: value})
 
+    @pytest.mark.parametrize("generator", ["sine-mixture", "file"])
+    @pytest.mark.parametrize("rate", [0, -5, -0.0, math.inf, -math.inf, math.nan])
+    def test_rate_must_be_finite_and_positive(self, generator, rate):
+        # checked with the spec, so a file spec's bad rate is refused before its input is read
+        with pytest.raises(ValueError, match="^sample_rate_hz must be a finite number > 0"):
+            sine_spec(generator=generator, input_path="missing.csv", sample_rate_hz=rate)
+
     @pytest.mark.parametrize("field", ["snr_db", "seeds", "frequencies_hz", "amplitudes",
                                        "phases"])
     def test_list_fields_take_lists_only(self, field):
@@ -362,6 +369,28 @@ class TestFileExperiment:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["spec"]["sample_rate_hz"] == 100.0
         assert ExperimentReport.from_json(report.to_json()) == report
+
+    def test_spec_built_in_python_without_a_rate_reads_the_sidecar(self, tmp_path):
+        # not through from_dict: at a 200 Hz default the 1.5 and 7 Hz tones would
+        # read as 3 and 14 Hz
+        mixture, _ = gen_sinusoid_mixture(
+            [SineComponent(1.5, 1.0), SineComponent(7.0, 0.7)], 100.0, 20.0)
+        path = tmp_path / "two.csv"
+        write_timeseries_csv(mixture, path)
+        write_sample_rate_sidecar(path, 100.0)
+        configs = (DecompositionConfig(alpha=1.0, n_modes=2),)
+        spec = ExperimentSpec(generator="file", input_path=str(path), embedding_dim=80,
+                              configs=configs)
+        report = run_experiment(spec)
+        assert sorted(report.cells[0].mode_peaks_hz) == [1.5, 7.0]
+        assert report.spec.sample_rate_hz == 100.0
+        assert spec.sample_rate_hz is None
+        synthetic = ExperimentSpec(generator="sine-mixture", snr_db=(60.0,), seeds=(0,),
+                                   duration_s=1.0, embedding_dim=20, configs=configs)
+        assert synthetic.sample_rate_hz == 200.0
+        assert run_experiment(synthetic).spec.sample_rate_hz == 200.0
+        with pytest.raises(ValueError, match="^sample_rate_hz must be a number, got None"):
+            replace(synthetic, sample_rate_hz=None)
 
     @pytest.mark.parametrize("peak, label", [
         (None, ""), (0.05, ""), (0.1, "respiration"), (0.5, "respiration"), (0.65, ""),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -780,6 +781,64 @@ class TestBench:
             for cell in doc["cells"]:
                 cell.pop("wall_ms")
         assert a == b
+
+    @pytest.mark.parametrize("generator, missing, rate", [
+        ("file", True, -5), ("file", True, math.inf), ("file", False, math.inf),
+        ("file", False, math.nan), ("file", False, 0),
+        ("sine-mixture", False, 0), ("sine-mixture", False, -5), ("sine-mixture", False, 1e999),
+    ])
+    def test_bad_rate_exits_2_before_the_input_is_read(self, tone_file, tmp_path, capsys,
+                                                       generator, missing, rate):
+        # the spec checks its rate before the input is read, so a missing file still
+        # exits 2, and the message names the spec key, not TimeSeries' sample_rate
+        path = tmp_path / "missing.csv" if missing else tone_file
+        doc = {"generator": generator, "input_path": str(path), "snr_db": [0.0], "seeds": [0],
+               "sample_rate_hz": rate, "configs": [{"alpha": 1.0}]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("bench", str(spec), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "rmd bench: bad experiment spec: sample_rate_hz must be a finite number > 0")
+        assert not (tmp_path / "o").exists()
+
+
+class TestFrontEndsAgree:
+    """``rmd decompose`` and ``rmd synth`` apply the spec's rules to their flags."""
+
+    @pytest.mark.parametrize("flags, keys", [
+        ([], {}),
+        (["-r", "2"], {"n_modes": 2}),
+        (["--alpha", "2.5"], {"alpha": 2.5}),
+        (["--order", "2"], {"diff_order": 2}),
+        (["--theta", "0.6"], {"theta": 0.6}),
+        (["--measure", "cosine"], {"measure": "cosine"}),
+        (["--shrinkage"], {"shrinkage": True}),
+        (["-K", "60"], {"embedding_dim": 60}),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_decompose_config_is_the_spec_config(self, tone_file, tmp_path, flags, keys):
+        out = tmp_path / "out"
+        assert run_cli("decompose", str(tone_file), "-r", "3", *flags, "--out", str(out)) == 0
+        written = json.loads((out / "decomposition.json").read_text())["config"]
+        keys = dict(keys)
+        spec = rmd.ExperimentSpec.from_dict({
+            "generator": "file", "input_path": str(tone_file),
+            "embedding_dim": keys.pop("embedding_dim", None),
+            "configs": [{"alpha": 0.3, **keys}],  # alpha, required in a spec, at its default
+        })
+        assert written == dataclasses.asdict(spec.configs[0])
+
+    def test_negative_seed_refused_alike(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("synth", "sine3", "--seed", "-1", "--out", str(out)) == 2
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "sine-mixture", "snr_db": [0.0], "seeds": [-1],
+                                    "configs": [{"alpha": 1.0}]}))
+        assert run_cli("bench", str(spec), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "rmd synth: --seed must be a non-negative integer, got -1",
+            "rmd bench: bad experiment spec: seeds[0] must be a non-negative integer, got -1",
+        ]
+        assert not out.exists() and not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
