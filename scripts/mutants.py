@@ -142,7 +142,9 @@ MUTANTS = [
     ("one core without an affinity call", "bench.py",
      "        return os.cpu_count() or 1", "        return 1", "test_bench.py"),
     ("a config that is not an object unnamed", "bench.py",
-     "    if not isinstance(doc, dict):", "    if False:", "test_cli.py"),
+     '    checked("a config", doc, "object")\n', "", "test_cli.py"),
+    ("a spec that is not an object is accepted", "bench.py",
+     'dict(checked("a spec", doc, "object"))', "dict(doc)", "test_cli.py"),
     ("negative frequency accepted", "signals.py",
      "        if self.frequency < 0:", "        if False:", "test_cli.py"),
     ("negative amplitude accepted", "signals.py",
@@ -155,6 +157,10 @@ MUTANTS = [
      "    except ValueError:\n        return []\n        raise argparse.ArgumentTypeError",
      "test_cli.py"),
     ("ssa with no components", "modes.py", "    if r < 1:", "    if r < 0:", "test_modes.py"),
+    ("SSA merges its components", "modes.py",
+     "merge_threshold=1.01, alpha=0.0", "merge_threshold=1e-300, alpha=0.0", "test_modes.py"),
+    ("the writers make no directory", "signals.py",
+     "    path.parent.mkdir(parents=True, exist_ok=True)\n", "", "test_cli.py"),
     ("a mode past the float64 range returned", "modes.py",
      "    if not np.isfinite(out).all():", "    if False:", "test_modes.py"),
     # the CLI's exit-code table

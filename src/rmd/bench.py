@@ -31,6 +31,7 @@ from .signals import (
     score_mode,  # noqa: F401  the one-pair case of score_rows, kept as rmd.bench.score_mode
     score_rows,
     unit_scaled,
+    write_text,
 )
 
 SCHEMA_VERSION = 1
@@ -55,8 +56,7 @@ SPEC_CONFIG_KEYS = {
 
 
 def _config_from_dict(doc: dict) -> DecompositionConfig:
-    if not isinstance(doc, dict):
-        raise TypeError(f"a config must be an object, got {doc!r}")
+    checked("a config", doc, "object")
     unknown = sorted(set(doc) - set(SPEC_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown}; allowed: {list(SPEC_CONFIG_KEYS)}")
@@ -159,11 +159,11 @@ class ExperimentSpec:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
         """Build a spec from parsed JSON: the spec's fields, with ``configs`` a
-        list of dicts of the ``SPEC_CONFIG_KEYS``.  A missing ``configs``, an
-        unknown config key, or a value of the wrong type or out of range raises
-        ValueError; an unknown spec key or a config that is not an object, TypeError.
+        list of dicts of the ``SPEC_CONFIG_KEYS``.  A spec or a config that is not
+        an object, a missing ``configs``, an unknown config key, or a value of the
+        wrong type or out of range raises ValueError; an unknown spec key, TypeError.
         """
-        doc = dict(doc)
+        doc = dict(checked("a spec", doc, "object"))
         configs = checked("configs", doc.pop("configs", None), "list")
         return ExperimentSpec(configs=tuple(map(_config_from_dict, configs)), **doc)
 
@@ -458,6 +458,10 @@ def _csv_field(v) -> str:
     return str(v)
 
 
+def _csv_text(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(map(_csv_field, r)) + "\n" for r in rows)
+
+
 SUMMARY_COLUMNS = (
     "snr_db", "seed", "alpha", "diff_order", "measure", "true_freq_hz",
     "matched", "peak_freq_hz", "correlation", "rmse", "wall_ms",
@@ -472,9 +476,8 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     left blank.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json"}
-    paths["report"].write_text(report.to_json(), encoding="utf-8")
+    write_text(paths["report"], report.to_json())
 
     rows = []
     per_component: dict[float, list] = {}
@@ -492,17 +495,11 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
         else:
             rows.append(base + (None, None, None, None, None, cell.wall_ms))
 
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_field(v) for v in row) + "\n")
     paths["summary"] = out / "summary.csv"
-
+    write_text(paths["summary"], _csv_text(",".join(SUMMARY_COLUMNS), rows))
     for freq, entries in sorted(per_component.items()):
         name = f"component_{freq:g}hz.csv"
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write("snr_db,seed,alpha,diff_order,matched,peak_freq_hz,correlation,rmse\n")
-            for e in entries:
-                fh.write(",".join(_csv_field(v) for v in e) + "\n")
         paths[name] = out / name
+        write_text(paths[name], _csv_text(
+            "snr_db,seed,alpha,diff_order,matched,peak_freq_hz,correlation,rmse", entries))
     return paths

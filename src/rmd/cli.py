@@ -175,7 +175,6 @@ def _cmd_synth(args) -> int:
     out_signal = mixture if args.snr is None else add_noise_at_snr(mixture, args.snr, args.seed)[0]
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     files = [(out_signal, out)] + [(t, out.with_name(f"{out.stem}_truth_{i:02d}.csv"))
                                    for i, t in enumerate(truths, start=1) if args.snr is not None]
     for series, path in files:

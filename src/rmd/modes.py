@@ -29,7 +29,7 @@ from .eigen import (  # noqa: F401  the band builders are re-exported as rmd.mod
 )
 from .signals import periodogram  # noqa: F401  re-exported as rmd.modes.periodogram
 from .signals import TimeSeries, checked, periodogram_power, row_peaks, unit_scaled
-from .signals import write_timeseries_csv
+from .signals import write_text, write_timeseries_csv
 
 SIMILARITY_MEASURES = ("cosine", "pearson", "normalized-euclidean", "spectral")
 
@@ -190,35 +190,45 @@ def cluster_and_merge(
     return merged, leftovers
 
 
-def _scale_back(
-    x: TimeSeries, xs: TimeSeries, shift: int, parts, reports,
-) -> tuple[tuple[TimeSeries, ...], TimeSeries, tuple[ModeReport, ...]]:
-    """Modes, residual and reports of x from mode samples found on xs = x / 2**shift.
+def _modes_from_basis(x: TimeSeries, xs: TimeSeries, shift: int, X: np.ndarray,
+                      basis: EigenBasis, config: DecompositionConfig, method: str) -> ModeSet:
+    """The ``ModeSet`` of x from ``basis``, an eigenbasis of X, the trajectory matrix
+    of xs = x / 2**shift, as ``rmd_decompose`` and ``ssa_decompose`` both build it:
+    clusters, modes by descending gamma, and a warning for fewer than n_modes.
 
-    ``parts`` holds one row of samples and ``reports`` one ``ModeReport`` on xs's
-    scale per mode, returned with its peak set.  The residual xs - sum(parts) is
-    taken on xs, where nothing overflows, and the peaks are read there from one
-    periodogram of the stacked parts.  Samples then scale back by 2**shift, gamma
-    and energy by 4**shift; power-of-two scaling is exact, so the decomposition is
-    scale-equivariant, except that scaling down (shift <= 0) rounds samples
-    below 2**-1022: there the residual is taken as x minus the scaled-back
-    modes, so that they still sum back to x.  A gamma or energy past the
-    float64 range reads inf; a sample past it raises NumericalError.
+    The residual xs - sum(modes) is taken on xs, where nothing overflows, and the
+    peaks are read there from one periodogram of the stacked modes.  Samples then
+    scale back by 2**shift, gamma and energy by 4**shift; power-of-two scaling is
+    exact, so the decomposition is scale-equivariant, except that scaling down
+    (shift <= 0) rounds samples below 2**-1022: there the residual is taken as x
+    minus the scaled-back modes, so that they still sum back to x.  A gamma or
+    energy past the float64 range reads inf; a sample past it raises NumericalError.
     """
+    clusters, _ = cluster_and_merge(basis, config)
+    with np.errstate(over="ignore"):  # alpha * mu past the float64 range: gain 0
+        gains = (1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage
+                 else np.ones(len(basis)))
+    parts = diagonal_average(X, basis.vectors, gains, [list(c.member_indices) for c in clusters])
+    order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma)
+    parts, clusters = parts[order], [clusters[i] for i in order]
     residual = xs.samples - sum(parts)
     freqs = np.fft.rfftfreq(len(x), d=1.0 / x.sample_rate)
     # a mode whose 0 Hz bin is its strongest reports a 0.0 Hz peak
     peaks = row_peaks(periodogram_power(parts), freqs, dc=True)
     with np.errstate(over="ignore"):
-        scaled = np.ldexp([[r.gamma, r.energy] for r in reports], 2 * shift).tolist()
+        scaled = np.ldexp([[c.gamma, c.energy] for c in clusters], 2 * shift).tolist()
         out = np.ldexp(np.vstack([*parts, residual]), shift)
-    report = tuple(replace(r, gamma=g, energy=e, peak_frequency_hz=p)
-                   for r, (g, e), p in zip(reports, scaled, peaks))
+    report = tuple(replace(c, gamma=g, energy=e, peak_frequency_hz=p)
+                   for c, (g, e), p in zip(clusters, scaled, peaks))
     if shift <= 0:
         out[-1] = x.samples - sum(out[:-1])
     if not np.isfinite(out).all():
         raise NumericalError("a mode or the residual exceeds the float64 range")
-    return tuple(x.with_samples(m) for m in out[:-1]), x.with_samples(out[-1]), report
+    warnings = () if len(report) >= config.n_modes else (
+        f"requested {config.n_modes} modes but only {len(report)} cluster(s) were available",)
+    return ModeSet(modes=tuple(x.with_samples(m) for m in out[:-1]),
+                   residual=x.with_samples(out[-1]), report=report, config=config,
+                   embedding_dim=X.shape[1], method=method, warnings=warnings)
 
 
 def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
@@ -234,7 +244,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     minus the modes, so modes + residual reproduce the input.
 
     The pipeline runs on x / 2**s, with max|x| / 2**s in [0.5, 1), and
-    ``_scale_back`` returns its results to the scale of x exactly.  Before any
+    ``_modes_from_basis`` returns its results to the scale of x exactly.  Before any
     work, N < ``MIN_SAMPLES`` (12) raises SignalTooShortError and a ``K_override`` above N - 1
     ValueError; any later failure is a NumericalError.
     """
@@ -247,20 +257,7 @@ def rmd_decompose(x: TimeSeries, config: DecompositionConfig) -> ModeSet:
     X = build_trajectory_matrix(xs, K)  # the one check on the caller's K: K <= N - 1
     basis = solve_generalized(gram(X), config.alpha, config.diff_order,
                               n_pairs=PAIRS_PER_MODE * config.n_modes)
-
-    clusters, _ = cluster_and_merge(basis, config)
-
-    with np.errstate(over="ignore"):  # alpha * mu past the float64 range: gain 0
-        gains = (1.0 / (1.0 + config.alpha * basis.mu) if config.shrinkage
-                 else np.ones(len(basis)))
-    parts = diagonal_average(X, basis.vectors, gains, [list(c.member_indices) for c in clusters])
-    order = sorted(range(len(clusters)), key=lambda i: -clusters[i].gamma)
-    modes, residual, report = _scale_back(x, xs, shift, parts[order], [clusters[i] for i in order])
-
-    warnings = () if len(modes) >= config.n_modes else (
-        f"requested {config.n_modes} modes but only {len(modes)} cluster(s) were available",)
-    return ModeSet(modes=modes, residual=residual, report=report, config=config,
-                   embedding_dim=K, method="rmd", warnings=warnings)
+    return _modes_from_basis(x, xs, shift, X, basis, config, "rmd")
 
 
 def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
@@ -277,19 +274,12 @@ def ssa_decompose(x: TimeSeries, K: int, r: int) -> ModeSet:
     xs = x.with_samples(samples)
     X = build_trajectory_matrix(xs, K)
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
-    warnings = ()
-    if r > s.size:
-        warnings = (f"requested {r} components but rank is at most {s.size}",)
-        r = s.size
-
-    parts = diagonal_average(X, Vt[:r].T, np.ones(r), [[i] for i in range(r)])
-    reports = [ModeReport(s[i] ** 2, float(np.sum(np.diff(Vt[i]) ** 2)), s[i] ** 2, 1, None, (i,))
-               for i in range(r)]
-    modes, residual, report = _scale_back(x, xs, shift, parts, reports)
+    Vt = Vt[:r]  # the top r pairs, all of them past the rank; theta 1.01: one cluster each
+    basis = EigenBasis(gammas=s[:r] ** 2, vectors=Vt.T, mu=np.sum(np.diff(Vt, axis=1) ** 2, axis=1),
+                       negligible=np.zeros(len(Vt), dtype=bool))
     config = DecompositionConfig(n_modes=r, merge_threshold=1.01, alpha=0.0, diff_order=1,
                                  similarity="cosine", K_override=K)
-    return ModeSet(modes=modes, residual=residual, report=report, config=config,
-                   embedding_dim=K, method="ssa", warnings=warnings)
+    return _modes_from_basis(x, xs, shift, X, basis, config, "ssa")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +294,6 @@ def _json_number(v: float) -> float | None:
 def write_modeset(ms: ModeSet, out_dir: str | Path) -> Path:
     """Write ``mode_01.csv`` .. ``residual.csv`` and ``decomposition.json``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for i, mode in enumerate(ms.modes, start=1):
         write_timeseries_csv(mode, out / f"mode_{i:02d}.csv")
     write_timeseries_csv(ms.residual, out / "residual.csv")
@@ -330,5 +319,5 @@ def write_modeset(ms: ModeSet, out_dir: str | Path) -> Path:
         "warnings": list(ms.warnings),
     }
     path = out / "decomposition.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
     return path

@@ -24,7 +24,8 @@ class CsvFormatError(ValueError):
 
 # each kind of value read from outside: the types it admits, and the words that name it
 _KINDS = {"integer": (int, "an integer"), "number": (numbers.Real, "a number"),
-          "flag": (bool, "true or false"), "list": ((list, tuple), "a list")}
+          "flag": (bool, "true or false"), "list": ((list, tuple), "a list"),
+          "object": (dict, "an object")}
 
 
 def checked(name: str, value, kind: str):
@@ -426,12 +427,18 @@ def read_timeseries_csv(path: str | Path, sample_rate_hz: float | None = None) -
     return TimeSeries(table[:, -1], rate)
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, first making the directories above it:
+    every file rmd writes goes through here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
     """Write a ``value`` header, then one value per line, shortest round-trip
     decimal representation."""
-    Path(path).write_text(
-        "value\n" + "\n".join(map(repr, x.samples.tolist())) + "\n", encoding="utf-8"
-    )
+    write_text(path, "value\n" + "\n".join(map(repr, x.samples.tolist())) + "\n")
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -440,8 +447,7 @@ def sidecar_path(csv_path: str | Path) -> Path:
 
 
 def write_sample_rate_sidecar(csv_path: str | Path, sample_rate_hz: float) -> None:
-    sidecar_path(csv_path).write_text(json.dumps({"sample_rate_hz": sample_rate_hz}) + "\n",
-                                      encoding="utf-8")
+    write_text(sidecar_path(csv_path), json.dumps({"sample_rate_hz": sample_rate_hz}) + "\n")
 
 
 def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
@@ -459,6 +465,4 @@ def read_sample_rate_sidecar(csv_path: str | Path) -> float | None:
 
 def write_spectrum_csv(s: Spectrum, path: str | Path) -> None:
     rows = zip(s.frequencies.tolist(), s.power.tolist())
-    Path(path).write_text(
-        "frequency_hz,power\n" + "".join(f"{f!r},{p!r}\n" for f, p in rows), encoding="utf-8"
-    )
+    write_text(path, "frequency_hz,power\n" + "".join(f"{f!r},{p!r}\n" for f, p in rows))

@@ -459,6 +459,13 @@ class TestReportArtifacts:
         assert {(r["n_modes"], r["shrinkage"]) for r in rows} == {
             (4, False), (8, False), (4, True)}
 
+    def test_spec_that_is_not_an_object_rejected(self):
+        # a report's spec is read by the spec's own rule
+        doc = json.loads(run_experiment(sine_spec()).to_json())
+        doc["spec"] = list(doc["spec"].items())
+        with pytest.raises(ValueError, match="a spec must be an object"):
+            ExperimentReport.from_json(json.dumps(doc))
+
     def test_v1_cells_read_back(self):
         # a v1 report.json has no shrinkage in its cells
         doc = json.loads(run_experiment(sine_spec()).to_json())

@@ -613,6 +613,21 @@ class TestBench:
             "rmd bench: bad experiment spec: a config must be an object, got 5\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc", [
+        [["generator", "sine-mixture"], ["snr_db", [0]], ["seeds", [0]],
+         ["configs", [{"alpha": 1}]]],
+        "ab", 5, None,
+    ], ids=["pairs", "string", "number", "null"])
+    def test_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        # the list of pairs once ran as the spec it spells; the others exited 2
+        # with Python's own words
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bench", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"rmd bench: bad experiment spec: a spec must be an object, got {doc!r}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fields", [
         {"seeds": [1.5, True]},
         {"seeds": [True]},
@@ -942,6 +957,22 @@ _contract = settings(max_examples=60, deadline=None,
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("command", ["synth", "decompose", "bench", "spectrum"])
+    def test_out_in_new_directories(self, tone_file, tmp_path, capsys, command):
+        # the file writers make the directories; spectrum once printed its
+        # result, then exited 3 on the missing directory
+        out = tmp_path / "new" / "dir" / "out"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"generator": "file", "input_path": str(tone_file),
+                                    "embedding_dim": 48, "configs": [{"alpha": 0.3}]}))
+        argv, written = {"synth": (["sine3"], out),
+                         "decompose": ([str(tone_file), "-r", "1"], out / "decomposition.json"),
+                         "bench": ([str(spec)], out / "report.json"),
+                         "spectrum": ([str(tone_file)], out)}[command]
+        assert run_cli(command, *argv, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert written.is_file()
+
     @pytest.mark.parametrize("error, code", [
         (NumericalError("e"), 4), (SignalTooShortError("e"), 4), (CsvFormatError("e"), 3),
         (FileNotFoundError("e"), 3), (ValueError("e"), 2), (TypeError("e"), 2),

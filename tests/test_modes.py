@@ -788,6 +788,29 @@ class TestSsaDecompose:
         assert len(ms.modes) == 4
         assert ms.warnings
 
+    def test_r_above_rank_warns_like_rmd(self, rng):
+        # the shared tail words the warning, in RMD's words, from the requested r
+        x = TimeSeries(rng.standard_normal(20), 10.0)
+        ms = ssa_decompose(x, K=4, r=10)
+        assert ms.warnings == ("requested 10 modes but only 4 cluster(s) were available",)
+        assert ssa_decompose(x, K=4, r=4).warnings == ()
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-305])
+    def test_tiny_amplitude_sums_back_exactly(self, c):
+        # x / 2**s scales up (shift <= 0): the modes scaled back round below
+        # 2**-1022, so the residual is x minus their sum, and they sum back to x
+        t = np.arange(400)
+        tone = TimeSeries(np.sin(t / 3.0) + 0.3 * np.sin(t / 7.0), 50.0)
+        unit = ssa_decompose(tone, K=40, r=4)
+        tiny = ssa_decompose(tone.with_samples(c * tone.samples), K=40, r=4)
+        assert np.array_equal(sum(m.samples for m in tiny.modes) + tiny.residual.samples,
+                              c * tone.samples)
+        assert [e.peak_frequency_hz for e in tiny.report] == [
+            e.peak_frequency_hz for e in unit.report]
+        for m, ref in zip(tiny.modes, unit.modes):
+            expected = c * ref.samples
+            assert np.abs(m.samples - expected).max() <= 1e-9 * np.abs(expected).max()
+
     def test_gamma_matches_singular_values(self, rng):
         x = TimeSeries(rng.standard_normal(50), 10.0)
         tm = build_trajectory_matrix(x, 10)
